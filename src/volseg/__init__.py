@@ -8,7 +8,6 @@ and sliding-window inference (:mod:`volseg.inference`). The ``volseg``
 command (:mod:`volseg.cli`) wires them together.
 """
 
-from ._kernels import backend as kernel_backend
 from .augmentation import (
     AugmentationPolicy,
     TransformParams,

@@ -1,34 +1,20 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels: 3D convolution and trilinear sampling, in numpy.
 
-The backend is chosen once at import time. Numba is used when it imports
-cleanly and the environment variable ``VOLSEG_NO_NUMBA`` is unset (or set
-to something falsy); otherwise the numpy implementations are used. Both
-backends compute the same quantities; ``benchmarks/bench_kernels.py``
-compares their speed and agreement.
+The convolution is an im2col matrix product (Chellapilla et al. 2006): the
+kernel windows of a slab of X planes are unrolled into the columns of one
+contiguous buffer, and a single float32 GEMM against the flattened weights
+produces that slab's outputs. Trilinear sampling is separable: one 1-D
+linear interpolation per axis, in float64.
 """
 
-import os
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-
-def _numba_wanted() -> bool:
-    return os.environ.get("VOLSEG_NO_NUMBA", "").lower() not in ("1", "true", "yes")
-
-
-NUMBA_ENABLED = False
-if _numba_wanted():
-    try:
-        from numba import njit, prange
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-
-def backend() -> str:
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+# Size of the im2col buffer for one chunk of X planes. It bounds the extra
+# memory a conv needs beyond its input and output (a whole-volume im2col of
+# the paper's 320x320x64 patch would take ~22 GB). A chunk holds at least
+# one X plane, whatever its size.
+_IM2COL_CHUNK_BYTES = 8 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -38,67 +24,34 @@ def backend() -> str:
 # returns: (Cout, X, Y, Z) float32
 # ---------------------------------------------------------------------------
 
-def _conv3d_numpy(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     cout, cin, kx, ky, kz = weights.shape
     xs = padded.shape[1] - kx + 1
     ys = padded.shape[2] - ky + 1
     zs = padded.shape[3] - kz + 1
-    # float64 throughout; each tap is a BLAS matmul over the channel axis
-    padded64 = padded.astype(np.float64)
-    weights64 = weights.astype(np.float64)
-    acc = np.zeros((cout, xs, ys, zs), dtype=np.float64)
-    for dx in range(kx):
-        for dy in range(ky):
-            for dz in range(kz):
-                slab = padded64[:, dx:dx + xs, dy:dy + ys, dz:dz + zs]
-                acc += np.tensordot(weights64[:, :, dx, dy, dz], slab, axes=(1, 0))
-    return acc.astype(np.float32)
+    w2d = weights.reshape(cout, -1)
+    if (kx, ky, kz) == (1, 1, 1):
+        # pointwise: the input already is the column matrix
+        return (w2d @ padded.reshape(cin, -1)).reshape(cout, xs, ys, zs)
 
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _conv3d_jit(padded, weights, out):  # pragma: no cover - timed via wrapper
-        cout, cin, kx, ky, kz = weights.shape
-        _, xs, ys, zs = out.shape
-        for px in prange(cout * xs):
-            co = px // xs
-            x = px % xs
-            acc = np.zeros((ys, zs), dtype=np.float64)
-            for ci in range(cin):
-                for dx in range(kx):
-                    plane = padded[ci, x + dx]
-                    for dy in range(ky):
-                        for dz in range(kz):
-                            w = np.float64(weights[co, ci, dx, dy, dz])
-                            for y in range(ys):
-                                src = plane[y + dy]
-                                dst = acc[y]
-                                for z in range(zs):
-                                    dst[z] += w * src[z + dz]
-            out[co, x] = acc.astype(np.float32)
-
-    # Above this input-channel count the BLAS path overtakes the loop kernel
-    # (measured crossover near 64 on commodity x86; the loop kernel wins big
-    # on the wide, shallow stages that dominate U-Net runtime).
-    _LOOP_KERNEL_MAX_CIN = 32
-
-    def _conv3d_numba(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        if weights.shape[2:] == (1, 1, 1) or weights.shape[1] > _LOOP_KERNEL_MAX_CIN:
-            # pointwise convs are one matrix product and channel-heavy stages
-            # are compute-bound: both belong to BLAS
-            return _conv3d_numpy(padded, weights)
-        cout = weights.shape[0]
-        xs = padded.shape[1] - weights.shape[2] + 1
-        ys = padded.shape[2] - weights.shape[3] + 1
-        zs = padded.shape[3] - weights.shape[4] + 1
-        out = np.empty((cout, xs, ys, zs), dtype=np.float32)
-        _conv3d_jit(np.ascontiguousarray(padded), np.ascontiguousarray(weights), out)
-        return out
-
-    conv3d_core = _conv3d_numba
-else:
-    conv3d_core = _conv3d_numpy
+    # (Cin, X, Y, Z, kx, ky, kz) view of every kernel window, no copy
+    windows = sliding_window_view(padded, (kx, ky, kz), axis=(1, 2, 3))
+    rows = w2d.shape[1]
+    plane = ys * zs
+    planes_per_chunk = min(xs, max(1, _IM2COL_CHUNK_BYTES // (4 * rows * plane)))
+    buf = np.empty(rows * planes_per_chunk * plane, dtype=np.float32)
+    out = np.empty((cout, xs, ys, zs), dtype=np.float32)
+    out2d = out.reshape(cout, xs * plane)
+    for x0 in range(0, xs, planes_per_chunk):
+        n = min(planes_per_chunk, xs - x0)
+        cols = buf[:rows * n * plane]
+        # rows ordered (cin, dx, dy, dz) to match w2d; columns (x, y, z)
+        np.copyto(
+            cols.reshape(cin, kx, ky, kz, n, ys, zs),
+            windows[:, x0:x0 + n].transpose(0, 4, 5, 6, 1, 2, 3),
+        )
+        np.matmul(w2d, cols.reshape(rows, n * plane), out=out2d[:, x0 * plane:(x0 + n) * plane])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -118,60 +71,22 @@ def _axis_corners(coord: np.ndarray, dim: int):
     return lo, lo + 1, frac
 
 
-def _trilinear_numpy(src: np.ndarray, cx: np.ndarray, cy: np.ndarray, cz: np.ndarray) -> np.ndarray:
-    x0, x1, fx = _axis_corners(cx, src.shape[0])
-    y0, y1, fy = _axis_corners(cy, src.shape[1])
-    z0, z1, fz = _axis_corners(cz, src.shape[2])
-
-    fx = fx[:, None, None]
-    fy = fy[None, :, None]
-    fz = fz[None, None, :]
-
-    out = np.zeros((len(cx), len(cy), len(cz)), dtype=np.float64)
-    src64 = src.astype(np.float64)
-    for xi, wx in ((x0, 1.0 - fx), (x1, fx)):
-        for yi, wy in ((y0, 1.0 - fy), (y1, fy)):
-            for zi, wz in ((z0, 1.0 - fz), (z1, fz)):
-                out += (wx * wy * wz) * src64[np.ix_(xi, yi, zi)]
-    return out.astype(np.float32)
+def _lerp_axis(t: np.ndarray, coord: np.ndarray, axis: int) -> np.ndarray:
+    """Linear interpolation of ``t`` (float64) along one axis."""
+    lo, hi, frac = _axis_corners(coord, t.shape[axis])
+    shape = [1, 1, 1]
+    shape[axis] = len(coord)
+    frac = frac.reshape(shape)
+    out = np.take(t, lo, axis=axis)
+    out *= 1.0 - frac
+    upper = np.take(t, hi, axis=axis)
+    upper *= frac
+    out += upper
+    return out
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _trilinear_jit(src, x0, x1, fx, y0, y1, fy, z0, z1, fz, out):  # pragma: no cover
-        nx, ny, nz = out.shape
-        for i in prange(nx):
-            xa = x0[i]
-            xb = x1[i]
-            tx = fx[i]
-            for j in range(ny):
-                ya = y0[j]
-                yb = y1[j]
-                ty = fy[j]
-                for k in range(nz):
-                    za = z0[k]
-                    zb = z1[k]
-                    tz = fz[k]
-                    c00 = src[xa, ya, za] * (1.0 - tx) + src[xb, ya, za] * tx
-                    c10 = src[xa, yb, za] * (1.0 - tx) + src[xb, yb, za] * tx
-                    c01 = src[xa, ya, zb] * (1.0 - tx) + src[xb, ya, zb] * tx
-                    c11 = src[xa, yb, zb] * (1.0 - tx) + src[xb, yb, zb] * tx
-                    c0 = c00 * (1.0 - ty) + c10 * ty
-                    c1 = c01 * (1.0 - ty) + c11 * ty
-                    out[i, j, k] = c0 * (1.0 - tz) + c1 * tz
-
-    def _trilinear_numba(src: np.ndarray, cx: np.ndarray, cy: np.ndarray, cz: np.ndarray) -> np.ndarray:
-        x0, x1, fx = _axis_corners(cx, src.shape[0])
-        y0, y1, fy = _axis_corners(cy, src.shape[1])
-        z0, z1, fz = _axis_corners(cz, src.shape[2])
-        out = np.empty((len(cx), len(cy), len(cz)), dtype=np.float64)
-        _trilinear_jit(
-            np.ascontiguousarray(src.astype(np.float64)),
-            x0, x1, fx, y0, y1, fy, z0, z1, fz, out,
-        )
-        return out.astype(np.float32)
-
-    trilinear_core = _trilinear_numba
-else:
-    trilinear_core = _trilinear_numpy
+def trilinear_core(src: np.ndarray, cx: np.ndarray, cy: np.ndarray, cz: np.ndarray) -> np.ndarray:
+    t = _lerp_axis(src.astype(np.float64), cx, 0)
+    t = _lerp_axis(t, cy, 1)
+    t = _lerp_axis(t, cz, 2)
+    return t.astype(np.float32)

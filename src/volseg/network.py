@@ -71,6 +71,14 @@ class Layer:
     weights: np.ndarray | None = None  # conv: (cout, cin, kx, ky, kz); norm: gamma (c,)
     bias: np.ndarray | None = None     # conv: (cout,); norm: beta (c,)
 
+    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Shapes of (weights, bias) for this layer's kind; () if it has none."""
+        if self.kind == "conv":
+            return (self.cout, self.cin, *self.kernel), (self.cout,)
+        if self.kind == "instance_norm":
+            return (self.cout,), (self.cout,)
+        return ()
+
     def param_count(self) -> int:
         n = 0
         if self.weights is not None:
@@ -115,26 +123,29 @@ def _layer_specs(config: NetworkConfig):
     yield ("softmax", (0, 0, 0), config.num_classes, config.num_classes)
 
 
+def _skeleton(config: NetworkConfig) -> Model:
+    """The layers in execution order, with no parameter arrays yet."""
+    layers = [Layer(*spec) for spec in _layer_specs(config)]
+    return Model(config, layers, {s: s for s in range(1, config.num_stages)})
+
+
 def build_unet(config: NetworkConfig, init_seed: int = 0) -> Model:
     """Construct the network with He-uniform weights from ``init_seed``."""
     rng = np.random.default_rng(init_seed)
-    layers = []
-    for kind, kernel, cin, cout in _layer_specs(config):
-        lay = Layer(kind, kernel, cin, cout)
-        if kind == "conv":
-            fan_in = kernel[0] * kernel[1] * kernel[2] * cin
+    model = _skeleton(config)
+    for lay in model.layers:
+        if lay.kind == "conv":
+            fan_in = lay.kernel[0] * lay.kernel[1] * lay.kernel[2] * lay.cin
             bound = np.float32(np.sqrt(6.0 / fan_in))
-            w = rng.random(size=(cout, cin, *kernel), dtype=np.float32)
+            w = rng.random(size=(lay.cout, lay.cin, *lay.kernel), dtype=np.float32)
             w *= 2 * bound
             w -= bound  # uniform in [-bound, bound)
             lay.weights = w
-            lay.bias = np.zeros(cout, dtype=np.float32)
-        elif kind == "instance_norm":
-            lay.weights = np.ones(cout, dtype=np.float32)
-            lay.bias = np.zeros(cout, dtype=np.float32)
-        layers.append(lay)
-    skip_plan = {s: s for s in range(1, config.num_stages)}
-    return Model(config, layers, skip_plan)
+            lay.bias = np.zeros(lay.cout, dtype=np.float32)
+        elif lay.kind == "instance_norm":
+            lay.weights = np.ones(lay.cout, dtype=np.float32)
+            lay.bias = np.zeros(lay.cout, dtype=np.float32)
+    return model
 
 
 def count_parameters(model: Model) -> int:
@@ -184,7 +195,9 @@ def max_pool_2x(x: Tensor4D) -> Tensor4D:
     c, xs, ys, zs = x.shape
     if xs % 2 or ys % 2 or zs % 2:
         raise ValueError(f"spatial dims {(xs, ys, zs)} must be even for 2x pooling")
-    return x.reshape(c, xs // 2, 2, ys // 2, 2, zs // 2, 2).max(axis=(2, 4, 6))
+    x = np.maximum(x[:, 0::2], x[:, 1::2])
+    x = np.maximum(x[:, :, 0::2], x[:, :, 1::2])
+    return np.maximum(x[:, :, :, 0::2], x[:, :, :, 1::2])
 
 
 def nearest_upsample_2x(x: Tensor4D) -> Tensor4D:
@@ -281,7 +294,7 @@ def save_weights(model: Model, path) -> None:
 
 def load_weights(path, config: NetworkConfig) -> Model:
     """Load a weight file, validating every record against ``config``."""
-    model = build_unet(config, init_seed=0)  # skeleton; weights replaced below
+    model = _skeleton(config)
     crc = 0
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
@@ -292,7 +305,9 @@ def load_weights(path, config: NetworkConfig) -> Model:
                 raise WeightFormatError(f"{path}: layer {i} truncated (record header)")
             tag, kx, ky, kz, cin, cout, nbytes = _REC.unpack(header)
             kind = _TAG_KIND.get(tag)
-            expected = (lay.kind, lay.kernel, lay.cin, lay.cout, len(_payload(lay)))
+            shapes = lay.param_shapes()
+            expected = (lay.kind, lay.kernel, lay.cin, lay.cout,
+                        4 * sum(int(np.prod(shape)) for shape in shapes))
             if (kind, (kx, ky, kz), cin, cout, nbytes) != expected:
                 raise WeightFormatError(
                     f"{path}: layer {i} mismatch: file has kind={kind} kernel={(kx, ky, kz)} "
@@ -303,14 +318,11 @@ def load_weights(path, config: NetworkConfig) -> Model:
             if len(payload) < nbytes:
                 raise WeightFormatError(f"{path}: layer {i} truncated (payload)")
             crc = zlib.crc32(payload, crc)
-            values = np.frombuffer(payload, dtype="<f4")
-            if lay.weights is not None:
-                n = lay.weights.size
-                lay.weights = values[:n].reshape(lay.weights.shape).astype(np.float32)
-                if lay.bias is not None:
-                    lay.bias = values[n:].astype(np.float32)
-            elif lay.bias is not None:
-                lay.bias = values.astype(np.float32)
+            if shapes:
+                values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+                n = int(np.prod(shapes[0]))
+                lay.weights = values[:n].reshape(shapes[0])
+                lay.bias = values[n:]
         stored = f.read(4)
         if len(stored) < 4:
             raise WeightFormatError(f"{path}: missing CRC32 trailer")

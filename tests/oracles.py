@@ -126,6 +126,30 @@ def trilinear_point(grid, x, y, z):
     return acc
 
 
+def trilinear_eight_corner(src, cx, cy, cz):
+    """Trilinear sampling at per-axis coordinates as a weighted sum of eight
+    gathered corner grids, in float64; coordinates are already clamped."""
+
+    def corners(coord, dim):
+        if dim == 1:
+            zero = np.zeros(len(coord), dtype=np.int64)
+            return zero, zero, np.zeros(len(coord))
+        lo = np.clip(np.floor(coord).astype(np.int64), 0, dim - 2)
+        return lo, lo + 1, coord - lo
+
+    x0, x1, fx = corners(cx, src.shape[0])
+    y0, y1, fy = corners(cy, src.shape[1])
+    z0, z1, fz = corners(cz, src.shape[2])
+    fx, fy, fz = fx[:, None, None], fy[None, :, None], fz[None, None, :]
+    grid = src.astype(np.float64)
+    out = np.zeros((len(cx), len(cy), len(cz)))
+    for xi, wx in ((x0, 1.0 - fx), (x1, fx)):
+        for yi, wy in ((y0, 1.0 - fy), (y1, fy)):
+            for zi, wz in ((z0, 1.0 - fz), (z1, fz)):
+                out += (wx * wy * wz) * grid[np.ix_(xi, yi, zi)]
+    return out.astype(np.float32)
+
+
 def resample_linear_pointwise(vol_data, spacing_in, spacing_out, out_dims):
     """Per-voxel trilinear resample of a (C, X, Y, Z) array."""
     c = vol_data.shape[0]

@@ -2,39 +2,58 @@ import numpy as np
 import pytest
 
 from volseg import _kernels
+from volseg._kernels import conv3d_core, trilinear_core
+
+from oracles import naive_conv3d, trilinear_eight_corner
 
 
-class TestBackendSelection:
-    def test_backend_reports_a_known_name(self):
-        assert _kernels.backend() in ("numba", "numpy")
-
-    def test_dispatch_matches_flag(self):
-        if _kernels.NUMBA_ENABLED:
-            assert _kernels.conv3d_core is _kernels._conv3d_numba
-            assert _kernels.trilinear_core is _kernels._trilinear_numba
-        else:
-            assert _kernels.conv3d_core is _kernels._conv3d_numpy
-            assert _kernels.trilinear_core is _kernels._trilinear_numpy
+def _conv_case(rng, cin, cout, k, dims):
+    x = rng.normal(size=(cin, *dims)).astype(np.float32)
+    weights = rng.normal(size=(cout, cin, k, k, k)).astype(np.float32)
+    p = k // 2
+    padded = np.pad(x, ((0, 0), (p, p), (p, p), (p, p)))
+    return x, padded, weights
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba backend not active")
-class TestBackendAgreement:
-    def test_conv3d_backends_agree(self):
-        rng = np.random.default_rng(0)
-        for cin, cout, k, dims in [(1, 3, 3, (5, 4, 6)), (4, 2, 1, (3, 3, 3)), (2, 2, 3, (8, 2, 2))]:
-            padded = rng.normal(size=(cin, dims[0] + k - 1, dims[1] + k - 1, dims[2] + k - 1))
-            padded = padded.astype(np.float32)
-            weights = rng.normal(size=(cout, cin, k, k, k)).astype(np.float32)
-            a = _kernels._conv3d_numba(padded, weights)
-            b = _kernels._conv3d_numpy(padded, weights)
-            np.testing.assert_allclose(a, b, atol=1e-5)
+class TestConv3dCore:
+    @pytest.mark.parametrize("cin,cout,k,dims", [
+        (1, 3, 3, (5, 4, 6)),
+        (3, 2, 3, (4, 6, 3)),
+        (2, 4, 3, (8, 2, 2)),
+        (1, 2, 1, (3, 5, 4)),
+        (5, 3, 1, (4, 2, 6)),
+    ])
+    def test_matches_naive_oracle(self, cin, cout, k, dims):
+        rng = np.random.default_rng(cin * 100 + cout * 10 + k)
+        x, padded, weights = _conv_case(rng, cin, cout, k, dims)
+        out = conv3d_core(padded, weights)
+        assert out.dtype == np.float32 and out.shape == (cout, *dims)
+        expected = naive_conv3d(x, weights, np.zeros(cout))
+        np.testing.assert_allclose(out, expected, atol=1e-5)
 
-    def test_trilinear_backends_agree(self):
-        rng = np.random.default_rng(1)
-        src = rng.normal(size=(6, 5, 4)).astype(np.float32)
-        cx = np.clip(rng.uniform(-0.2, 5.2, size=7), 0, 5)
-        cy = np.clip(rng.uniform(0, 4, size=6), 0, 4)
-        cz = np.clip(rng.uniform(0, 3, size=5), 0, 3)
-        a = _kernels._trilinear_numba(src, cx, cy, cz)
-        b = _kernels._trilinear_numpy(src, cx, cy, cz)
-        np.testing.assert_allclose(a, b, atol=1e-6)
+    @pytest.mark.parametrize("planes_per_chunk", [1, 2, 3])
+    def test_chunked_equals_single_chunk(self, monkeypatch, planes_per_chunk):
+        # 7 X planes split into chunks of 1, 2 or 3 planes (the last one
+        # partial). Each chunk's column count (planes * Y * Z) is a multiple
+        # of 16, as in the default network (patch sides divisible by 32):
+        # BLAS kernels may round a matrix's trailing ragged columns differently.
+        rng = np.random.default_rng(5)
+        cin, cout, dims = 4, 8, (7, 4, 8)
+        _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
+        whole = conv3d_core(padded, weights)
+        plane_bytes = 4 * cin * 27 * dims[1] * dims[2]
+        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", planes_per_chunk * plane_bytes)
+        chunked = conv3d_core(padded, weights)
+        np.testing.assert_array_equal(chunked, whole)
+
+
+class TestTrilinearCore:
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (1, 7, 3), (9, 1, 1), (2, 2, 2)])
+    def test_bit_identical_to_eight_corner_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        src = rng.normal(size=shape).astype(np.float32)
+        coords = [np.clip(rng.uniform(-0.5, d - 0.5, size=n), 0, d - 1)
+                  for d, n in zip(shape, (7, 6, 5))]
+        out = trilinear_core(src, *coords)
+        assert out.dtype == np.float32 and out.shape == (7, 6, 5)
+        np.testing.assert_array_equal(out, trilinear_eight_corner(src, *coords))
