@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .augmentation import AugmentationPolicy, TransformParams, apply_augmentations, scheduled_probability
-from .inference import SlidingWindowConfig, argmax_labels, ensemble_predict, sliding_window_predict
+from .inference import SlidingWindowConfig, argmax_labels, ensemble, sliding_window_predict
 from .metrics import CLASS_NAMES, evaluate_set
 from .network import NetworkConfig, build_unet, count_parameters, forward, load_weights
 from .nifti import atomic_write_nifti, read_nifti, write_nifti
@@ -232,13 +232,8 @@ def cmd_infer(cfg: RunConfig, input_paths, output_path) -> int:
         models = [load_weights(path, cfg.network) for path in cfg.weights]
 
         stage = "predict"
-        prob_volumes = []
-        for model in models:
-            predictor = partial(forward, model)
-            prob_volumes.append(sliding_window_predict(stacked, predictor, cfg.window))
-
-        stage = "ensemble"
-        probs = ensemble_predict(prob_volumes)
+        predictor = ensemble([partial(forward, model) for model in models])
+        probs = sliding_window_predict(stacked, predictor, cfg.window)
 
         stage = "extract-labels"
         labels = argmax_labels(probs)

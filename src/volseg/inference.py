@@ -6,8 +6,11 @@ normalized patch-wise, run through the predictor, and accumulated into
 numerator (probability x weight) and denominator (weight) grids; the
 output is their ratio. Overlaps can be blended with equal weights or with
 a separable Gaussian kernel falling from 1 at the patch center to a
-configurable edge value per axis. Ensembling averages the probability
-fields of several models; argmax turns probabilities into labels.
+configurable edge value per axis. A fold ensemble is itself a predictor:
+each normalized patch goes through every fold's network and the window
+blends the voxel-wise mean of their probabilities, which equals the mean
+of the per-fold windows because every fold sees the same tiles and
+weights. Argmax turns probabilities into labels.
 """
 
 from dataclasses import dataclass, field
@@ -124,7 +127,7 @@ def sliding_window_predict(vol: Volume3D, predictor: Predictor,
     kernel = _kernel_for(config).weights  # float64
     px, py, pz = config.patch_size
 
-    num = None
+    num = weighted = None  # weighted: one tile's probs * kernel
     den = np.zeros(work_dims, dtype=np.float64)
     for ox, oy, oz in offsets:
         patch = data[:, ox:ox + px, oy:oy + py, oz:oz + pz]
@@ -136,30 +139,44 @@ def sliding_window_predict(vol: Volume3D, predictor: Predictor,
             )
         if num is None:
             num = np.zeros((probs.shape[0], *work_dims), dtype=np.float64)
-        num[:, ox:ox + px, oy:oy + py, oz:oz + pz] += probs.astype(np.float64) * kernel
+            weighted = np.empty(probs.shape, dtype=np.float64)
+        np.multiply(probs, kernel, out=weighted)
+        num[:, ox:ox + px, oy:oy + py, oz:oz + pz] += weighted
         den[ox:ox + px, oy:oy + py, oz:oz + pz] += kernel
 
     if num is None or not (den > 0).all():
         raise ValueError("tiling left voxels uncovered")
-    out = (num / den)[:, : dims[0], : dims[1], : dims[2]]
+    num /= den
+    out = num[:, : dims[0], : dims[1], : dims[2]]
     return Volume3D(out.astype(np.float32), vol.spacing, "continuous")
 
 
-def ensemble_predict(prob_volumes) -> Volume3D:
-    """Voxel-wise arithmetic mean of channel-normalized probability volumes."""
-    prob_volumes = list(prob_volumes)
-    if not prob_volumes:
-        raise ValueError("ensemble needs at least one probability volume")
-    first = prob_volumes[0]
-    acc = np.zeros(first.data.shape, dtype=np.float64)
-    for vol in prob_volumes:
-        if vol.data.shape != first.data.shape:
-            raise ValueError(f"shape mismatch in ensemble: {vol.data.shape} vs {first.data.shape}")
-        acc += vol.data
-    return Volume3D((acc / len(prob_volumes)).astype(np.float32), first.spacing, "continuous")
+def ensemble(predictors) -> Predictor:
+    """Predictor returning the voxel-wise float64 mean of ``predictors``' outputs."""
+    predictors = list(predictors)
+    if not predictors:
+        raise ValueError("ensemble needs at least one predictor")
+
+    def predict(patch: np.ndarray) -> np.ndarray:
+        acc = np.asarray(predictors[0](patch)).astype(np.float64)
+        for member in predictors[1:]:
+            probs = np.asarray(member(patch))
+            if probs.shape != acc.shape:
+                raise ValueError(f"shape mismatch in ensemble: {probs.shape} vs {acc.shape}")
+            acc += probs
+        acc /= len(predictors)
+        return acc
+
+    return predict
 
 
 def argmax_labels(probs: Volume3D) -> LabelMask:
     """Per-voxel class of maximum probability; ties favor the lower class."""
-    labels = np.argmax(probs.data, axis=0).astype(np.uint8)
+    p = probs.data
+    best = p[0].copy()
+    labels = np.zeros(best.shape, dtype=np.uint8)
+    for c in range(1, p.shape[0]):
+        better = p[c] > best  # strict, so a tie keeps the lower class
+        labels[better] = c
+        np.maximum(best, p[c], out=best)
     return LabelMask(labels, probs.spacing)

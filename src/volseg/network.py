@@ -168,27 +168,41 @@ def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray, kernel=None) -> T
     if bias.shape != (cout,):
         raise ValueError(f"bias shape {bias.shape} does not match {cout} output channels")
     px, py, pz = kx // 2, ky // 2, kz // 2
-    padded = np.pad(x.astype(np.float32, copy=False), ((0, 0), (px, px), (py, py), (pz, pz)))
-    out = conv3d_core(padded, weights.astype(np.float32, copy=False))
+    x = x.astype(np.float32, copy=False)
+    if px or py or pz:  # a zero-width np.pad still copies
+        x = np.pad(x, ((0, 0), (px, px), (py, py), (pz, pz)))
+    out = conv3d_core(x, weights.astype(np.float32, copy=False))
     out += bias[:, None, None, None]
     return out
 
 
 def instance_norm(x: Tensor4D, gamma: np.ndarray, beta: np.ndarray,
-                  eps: float = INSTANCE_NORM_EPS) -> Tensor4D:
-    """Per-channel standardization over this instance's voxels, with affine."""
+                  eps: float = INSTANCE_NORM_EPS, out: Tensor4D | None = None) -> Tensor4D:
+    """Per-channel standardization over this instance's voxels, with affine.
+
+    ``out`` may be ``x`` itself. The float32 residual ``x - mean`` is
+    written into ``out`` and its statistics are summed in float64, so a
+    channel far from zero keeps its precision and no float64 array of
+    the activation's size is made.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    mean = x.mean(axis=(1, 2, 3), dtype=np.float64)
-    var = x.var(axis=(1, 2, 3), dtype=np.float64)
+    n = x[0].size
+    mean = np.einsum("cxyz->c", x, dtype=np.float64) / n
+    if out is None:
+        out = np.empty_like(x)
+    np.subtract(x, mean.astype(np.float32)[:, None, None, None], out=out)
+    # residual mean left by rounding ``mean`` to float32, and the variance
+    rmean = np.einsum("cxyz->c", out, dtype=np.float64) / n
+    var = np.einsum("cxyz,cxyz->c", out, out, dtype=np.float64) / n - rmean * rmean
     inv = gamma / np.sqrt(var + eps)
-    scale = inv.astype(np.float32)
-    shift = (beta - mean * inv).astype(np.float32)
-    return x * scale[:, None, None, None] + shift[:, None, None, None]
+    out *= inv.astype(np.float32)[:, None, None, None]
+    out += (beta - rmean * inv).astype(np.float32)[:, None, None, None]
+    return out
 
 
-def relu(x: Tensor4D) -> Tensor4D:
-    return np.maximum(x, np.float32(0.0))
+def relu(x: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
+    return np.maximum(x, np.float32(0.0), out=out)
 
 
 def max_pool_2x(x: Tensor4D) -> Tensor4D:
@@ -205,9 +219,10 @@ def nearest_upsample_2x(x: Tensor4D) -> Tensor4D:
 
 
 def softmax_channels(x: Tensor4D) -> Tensor4D:
-    shifted = x - x.max(axis=0, keepdims=True)
-    e = np.exp(shifted, dtype=np.float32)
-    return e / e.sum(axis=0, keepdims=True)
+    e = x - x.max(axis=0, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +251,8 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
         conv_l, norm_l = layers[pos], layers[pos + 1]
         pos += 3  # conv, instance_norm, relu
         t = conv3d(t, conv_l.weights, conv_l.bias)
-        t = instance_norm(t, norm_l.weights, norm_l.bias)
-        return relu(t)
+        t = instance_norm(t, norm_l.weights, norm_l.bias, out=t)
+        return relu(t, out=t)
 
     skips = {}
     for s in range(1, cfg.num_stages + 1):

@@ -4,7 +4,7 @@ import pytest
 from volseg.inference import (
     SlidingWindowConfig,
     argmax_labels,
-    ensemble_predict,
+    ensemble,
     equal_weight_kernel,
     gaussian_weight_kernel,
     sliding_window_predict,
@@ -219,31 +219,53 @@ class TestEnsembleAndArgmax:
         raw = rng.random((3, *dims))
         return Volume3D((raw / raw.sum(axis=0)).astype(np.float32), (1, 1, 1))
 
+    def fixed(self, vol):
+        return lambda patch: vol.data
+
     def test_mean_of_identical_inputs_is_identity(self):
         vol = self.prob_volume(np.random.default_rng(9))
-        out = ensemble_predict([vol, vol, vol])
-        np.testing.assert_allclose(out.data, vol.data, atol=1e-7)
+        p = self.fixed(vol)
+        out = ensemble([p, p, p])(np.zeros((1, 4, 4, 4), np.float32))
+        np.testing.assert_allclose(out, vol.data, atol=1e-7)
 
     def test_two_member_hand_average(self):
-        a = Volume3D(np.array([1.0, 0.0, 0.0], np.float32).reshape(3, 1, 1, 1), (1, 1, 1))
-        b = Volume3D(np.array([0.0, 1.0, 0.0], np.float32).reshape(3, 1, 1, 1), (1, 1, 1))
-        out = ensemble_predict([a, b])
-        np.testing.assert_allclose(out.data.ravel(), [0.5, 0.5, 0.0])
+        a = constant_predictor((1.0, 0.0, 0.0))
+        b = constant_predictor((0.0, 1.0, 0.0))
+        out = ensemble([a, b])(np.zeros((1, 1, 1, 1), np.float32))
+        np.testing.assert_allclose(out.ravel(), [0.5, 0.5, 0.0])
 
     def test_matches_scalar_loop_average(self):
         rng = np.random.default_rng(10)
         vols = [self.prob_volume(rng) for _ in range(5)]
-        out = ensemble_predict(vols)
+        out = ensemble([self.fixed(v) for v in vols])(np.zeros((1, 4, 4, 4), np.float32))
         expected = np.zeros((3, 4, 4, 4))
         for idx in np.ndindex(expected.shape):
             expected[idx] = sum(float(v.data[idx]) for v in vols) / 5.0
-        np.testing.assert_allclose(out.data, expected, atol=1e-7)
-        np.testing.assert_allclose(out.data.sum(axis=0), 1.0, atol=1e-5)
+        np.testing.assert_allclose(out, expected, atol=1e-7)
+        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-5)
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(11)
-        with pytest.raises(ValueError):
-            ensemble_predict([self.prob_volume(rng), self.prob_volume(rng, dims=(3, 3, 3))])
+        members = [self.fixed(self.prob_volume(rng)), self.fixed(self.prob_volume(rng, dims=(3, 3, 3)))]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ensemble(members)(np.zeros((1, 4, 4, 4), np.float32))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            ensemble([])
+
+    def test_window_over_ensemble_is_mean_of_windows(self):
+        rng = np.random.default_rng(13)
+        vol = Volume3D(rng.normal(size=(1, 8, 6, 4)).astype(np.float32), (1, 1, 1))
+        cfg = SlidingWindowConfig(patch_size=(4, 4, 2), stride=(2, 3, 1), weighting="gaussian")
+
+        def reversed_predictor(patch):
+            return mean_predictor(patch)[::-1].copy()
+
+        out = sliding_window_predict(vol, ensemble([mean_predictor, reversed_predictor]), cfg)
+        one = sliding_window_predict(vol, mean_predictor, cfg).data.astype(np.float64)
+        two = sliding_window_predict(vol, reversed_predictor, cfg).data.astype(np.float64)
+        np.testing.assert_allclose(out.data, (one + two) / 2, atol=1e-6)
 
     def test_argmax_one_hot(self):
         probs = np.zeros((3, 2, 2, 2), np.float32)
@@ -264,3 +286,11 @@ class TestEnsembleAndArgmax:
             values = [float(vol.data[c][idx]) for c in range(3)]
             best = max(range(3), key=lambda c: (values[c], -c))
             assert out.labels[idx] == best
+
+    def test_argmax_matches_numpy_argmax_with_ties(self):
+        rng = np.random.default_rng(14)
+        for num_classes, levels in ((2, 2), (3, 3), (3, 2)):
+            probs = rng.integers(0, levels, size=(num_classes, 6, 5, 4)).astype(np.float32)
+            out = argmax_labels(Volume3D(probs, (1, 1, 1)))
+            assert out.labels.dtype == np.uint8
+            np.testing.assert_array_equal(out.labels, np.argmax(probs, axis=0))

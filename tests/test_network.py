@@ -104,6 +104,25 @@ class TestInstanceNorm:
         out = instance_norm(x, gamma, beta)
         np.testing.assert_allclose(out, naive_instance_norm(x, gamma, beta), atol=1e-5)
 
+    def test_in_place_equals_out_of_place(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(2.0, 3.0, size=(3, 6, 4, 4)).astype(np.float32)
+        gamma = rng.normal(size=3).astype(np.float32)
+        beta = rng.normal(size=3).astype(np.float32)
+        expected = instance_norm(x, gamma, beta)
+        out = instance_norm(x, gamma, beta, out=x)
+        assert out is x
+        np.testing.assert_array_equal(x, expected)
+
+    def test_channel_far_from_zero_matches_oracle(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(1e3, 1.0, size=(2, 8, 8, 4)).astype(np.float32)
+        x[1] -= 2e3
+        gamma = rng.normal(size=2).astype(np.float32)
+        beta = rng.normal(size=2).astype(np.float32)
+        out = instance_norm(x, gamma, beta)
+        np.testing.assert_allclose(out, naive_instance_norm(x, gamma, beta), atol=1e-5)
+
 
 class TestPoolAndUpsample:
     def test_pool_constant(self):
@@ -215,6 +234,12 @@ class TestForward:
         probs = softmax_channels(x)
         assert np.isfinite(probs).all()
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-6)
+
+    def test_softmax_channels_leaves_input_unchanged(self):
+        x = np.random.default_rng(6).normal(size=(3, 4, 4, 2)).astype(np.float32)
+        before = x.copy()
+        softmax_channels(x)
+        np.testing.assert_array_equal(x, before)
 
 
 class TestWeightFiles:
