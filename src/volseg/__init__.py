@@ -19,7 +19,7 @@ from .inference import (
     SlidingWindowConfig,
     WeightKernel,
     argmax_labels,
-    ensemble,
+    ensemble_predict,
     equal_weight_kernel,
     gaussian_weight_kernel,
     sliding_window_predict,

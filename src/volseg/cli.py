@@ -11,12 +11,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from .augmentation import AugmentationPolicy, TransformParams, apply_augmentations, scheduled_probability
-from .inference import SlidingWindowConfig, argmax_labels, ensemble, sliding_window_predict
+from .inference import SlidingWindowConfig, argmax_labels, ensemble_predict, sliding_window_predict
 from .metrics import CLASS_NAMES, evaluate_set
 from .network import NetworkConfig, build_unet, count_parameters, forward, load_weights
 from .nifti import atomic_write_nifti, read_nifti, write_nifti
@@ -232,7 +231,10 @@ def cmd_infer(cfg: RunConfig, input_paths, output_path) -> int:
         models = [load_weights(path, cfg.network) for path in cfg.weights]
 
         stage = "predict"
-        predictor = ensemble([partial(forward, model) for model in models])
+
+        def predictor(patch):
+            return ensemble_predict([forward(model, patch) for model in models])
+
         probs = sliding_window_predict(stacked, predictor, cfg.window)
 
         stage = "extract-labels"

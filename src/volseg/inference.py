@@ -6,7 +6,7 @@ normalized patch-wise, run through the predictor, and accumulated into
 numerator (probability x weight) and denominator (weight) grids; the
 output is their ratio. Overlaps can be blended with equal weights or with
 a separable Gaussian kernel falling from 1 at the patch center to a
-configurable edge value per axis. A fold ensemble is itself a predictor:
+configurable edge value per axis. A fold ensemble runs inside one window:
 each normalized patch goes through every fold's network and the window
 blends the voxel-wise mean of their probabilities, which equals the mean
 of the per-fold windows because every fold sees the same tiles and
@@ -151,23 +151,23 @@ def sliding_window_predict(vol: Volume3D, predictor: Predictor,
     return Volume3D(out.astype(np.float32), vol.spacing, "continuous")
 
 
-def ensemble(predictors) -> Predictor:
-    """Predictor returning the voxel-wise float64 mean of ``predictors``' outputs."""
-    predictors = list(predictors)
-    if not predictors:
-        raise ValueError("ensemble needs at least one predictor")
+def ensemble_predict(member_probs) -> np.ndarray:
+    """Voxel-wise float64 mean of the fold members' probabilities for one patch.
 
-    def predict(patch: np.ndarray) -> np.ndarray:
-        acc = np.asarray(predictors[0](patch)).astype(np.float64)
-        for member in predictors[1:]:
-            probs = np.asarray(member(patch))
-            if probs.shape != acc.shape:
-                raise ValueError(f"shape mismatch in ensemble: {probs.shape} vs {acc.shape}")
-            acc += probs
-        acc /= len(predictors)
-        return acc
-
-    return predict
+    ``cmd_infer`` calls it on every tile with each fold's network output,
+    so one window blends the fold mean and keeps a single probability
+    buffer however many folds run.
+    """
+    member_probs = [np.asarray(p) for p in member_probs]
+    if not member_probs:
+        raise ValueError("ensemble needs at least one probability array")
+    acc = member_probs[0].astype(np.float64)
+    for probs in member_probs[1:]:
+        if probs.shape != acc.shape:
+            raise ValueError(f"shape mismatch in ensemble: {probs.shape} vs {acc.shape}")
+        acc += probs
+    acc /= len(member_probs)
+    return acc
 
 
 def argmax_labels(probs: Volume3D) -> LabelMask:

@@ -4,7 +4,7 @@ import pytest
 from volseg.inference import (
     SlidingWindowConfig,
     argmax_labels,
-    ensemble,
+    ensemble_predict,
     equal_weight_kernel,
     gaussian_weight_kernel,
     sliding_window_predict,
@@ -219,25 +219,21 @@ class TestEnsembleAndArgmax:
         raw = rng.random((3, *dims))
         return Volume3D((raw / raw.sum(axis=0)).astype(np.float32), (1, 1, 1))
 
-    def fixed(self, vol):
-        return lambda patch: vol.data
-
     def test_mean_of_identical_inputs_is_identity(self):
         vol = self.prob_volume(np.random.default_rng(9))
-        p = self.fixed(vol)
-        out = ensemble([p, p, p])(np.zeros((1, 4, 4, 4), np.float32))
+        out = ensemble_predict([vol.data, vol.data, vol.data])
         np.testing.assert_allclose(out, vol.data, atol=1e-7)
 
     def test_two_member_hand_average(self):
-        a = constant_predictor((1.0, 0.0, 0.0))
-        b = constant_predictor((0.0, 1.0, 0.0))
-        out = ensemble([a, b])(np.zeros((1, 1, 1, 1), np.float32))
+        a = np.array([1.0, 0.0, 0.0], np.float32).reshape(3, 1, 1, 1)
+        b = np.array([0.0, 1.0, 0.0], np.float32).reshape(3, 1, 1, 1)
+        out = ensemble_predict([a, b])
         np.testing.assert_allclose(out.ravel(), [0.5, 0.5, 0.0])
 
     def test_matches_scalar_loop_average(self):
         rng = np.random.default_rng(10)
         vols = [self.prob_volume(rng) for _ in range(5)]
-        out = ensemble([self.fixed(v) for v in vols])(np.zeros((1, 4, 4, 4), np.float32))
+        out = ensemble_predict([v.data for v in vols])
         expected = np.zeros((3, 4, 4, 4))
         for idx in np.ndindex(expected.shape):
             expected[idx] = sum(float(v.data[idx]) for v in vols) / 5.0
@@ -246,15 +242,14 @@ class TestEnsembleAndArgmax:
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(11)
-        members = [self.fixed(self.prob_volume(rng)), self.fixed(self.prob_volume(rng, dims=(3, 3, 3)))]
         with pytest.raises(ValueError, match="shape mismatch"):
-            ensemble(members)(np.zeros((1, 4, 4, 4), np.float32))
+            ensemble_predict([self.prob_volume(rng).data, self.prob_volume(rng, dims=(3, 3, 3)).data])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            ensemble([])
+            ensemble_predict([])
 
-    def test_window_over_ensemble_is_mean_of_windows(self):
+    def test_window_over_fold_mean_is_mean_of_windows(self):
         rng = np.random.default_rng(13)
         vol = Volume3D(rng.normal(size=(1, 8, 6, 4)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=(4, 4, 2), stride=(2, 3, 1), weighting="gaussian")
@@ -262,7 +257,10 @@ class TestEnsembleAndArgmax:
         def reversed_predictor(patch):
             return mean_predictor(patch)[::-1].copy()
 
-        out = sliding_window_predict(vol, ensemble([mean_predictor, reversed_predictor]), cfg)
+        def fold_mean(patch):
+            return ensemble_predict([mean_predictor(patch), reversed_predictor(patch)])
+
+        out = sliding_window_predict(vol, fold_mean, cfg)
         one = sliding_window_predict(vol, mean_predictor, cfg).data.astype(np.float64)
         two = sliding_window_predict(vol, reversed_predictor, cfg).data.astype(np.float64)
         np.testing.assert_allclose(out.data, (one + two) / 2, atol=1e-6)
