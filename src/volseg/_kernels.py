@@ -31,8 +31,12 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     zs = padded.shape[3] - kz + 1
     w2d = weights.reshape(cout, -1)
     if (kx, ky, kz) == (1, 1, 1):
-        # pointwise: the input already is the column matrix
-        return (w2d @ padded.reshape(cin, -1)).reshape(cout, xs, ys, zs)
+        # pointwise: the input already is the column matrix. With one input
+        # channel the product has a single term, so an outer product gives
+        # the GEMM's result bit for bit without the K = 1 GEMM overhead.
+        cols = padded.reshape(cin, -1)
+        out2d = np.multiply(w2d, cols) if cin == 1 else w2d @ cols
+        return out2d.reshape(cout, xs, ys, zs)
 
     # (Cin, X, Y, Z, kx, ky, kz) view of every kernel window, no copy
     windows = sliding_window_view(padded, (kx, ky, kz), axis=(1, 2, 3))

@@ -208,6 +208,9 @@ def _load_channels(cfg: RunConfig, input_paths):
             vol = read_nifti(path)
             if vol.channels != 1:
                 raise ValueError(f"{path}: expected a single-channel scan, got {vol.channels} channels")
+            finite = np.count_nonzero(np.isfinite(vol.data))
+            if finite != vol.data.size:
+                raise ValueError(f"{path}: {vol.data.size - finite} non-finite (NaN or Inf) voxels")
             if reference is None:
                 reference = vol
             resampled = resample_linear(vol, cfg.working_spacing)

@@ -161,10 +161,13 @@ def ensemble_predict(member_probs) -> np.ndarray:
     member_probs = [np.asarray(p) for p in member_probs]
     if not member_probs:
         raise ValueError("ensemble needs at least one probability array")
-    acc = member_probs[0].astype(np.float64)
-    for probs in member_probs[1:]:
-        if probs.shape != acc.shape:
-            raise ValueError(f"shape mismatch in ensemble: {probs.shape} vs {acc.shape}")
+    first, *rest = member_probs
+    for probs in rest:
+        if probs.shape != first.shape:
+            raise ValueError(f"shape mismatch in ensemble: {probs.shape} vs {first.shape}")
+    # the first sum is made in float64 directly, not on a float64 copy
+    acc = np.add(first, rest[0], dtype=np.float64) if rest else first.astype(np.float64)
+    for probs in rest[1:]:
         acc += probs
     acc /= len(member_probs)
     return acc

@@ -218,8 +218,9 @@ def nearest_upsample_2x(x: Tensor4D) -> Tensor4D:
     return np.repeat(np.repeat(np.repeat(x, 2, axis=1), 2, axis=2), 2, axis=3)
 
 
-def softmax_channels(x: Tensor4D) -> Tensor4D:
-    e = x - x.max(axis=0, keepdims=True)
+def softmax_channels(x: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
+    """Softmax over the channel axis; ``out`` may be ``x`` itself."""
+    e = np.subtract(x, x.max(axis=0, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=0, keepdims=True)
     return e
@@ -273,7 +274,7 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
     x = conv3d(x, final.weights, final.bias)
     pos += 2  # final conv, softmax
     assert pos == len(layers), "layer walk out of sync with layer list"
-    return softmax_channels(x)
+    return softmax_channels(x, out=x)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ bit-exact.
 
 import gzip
 import os
+import tempfile
+import threading
 
 import numpy as np
 
@@ -85,13 +87,19 @@ _DTYPES = {
 _UINT8_CODE = 2
 _FLOAT32_CODE = 16
 
+# zlib level of .nii.gz writes. On a 128x128x32 label map level 6 writes in
+# a tenth of level 9's time for a 20% larger file; level 1 is faster still
+# but nearly doubles the file.
+GZIP_LEVEL = 6
+
 
 class _GzipContentOnly(gzip.GzipFile):
     """GzipFile whose output depends only on content (no filename, mtime 0)."""
 
     def __init__(self, path, mode):
         self._raw = open(path, mode)
-        super().__init__(filename="", fileobj=self._raw, mode=mode, mtime=0)
+        super().__init__(filename="", fileobj=self._raw, mode=mode,
+                         compresslevel=GZIP_LEVEL, mtime=0)
 
     def close(self):
         try:
@@ -224,11 +232,31 @@ def write_nifti(obj, path) -> None:
         f.write(payload)
 
 
+# os.umask can only be read by setting it; the lock keeps two concurrent
+# writes from restoring each other's temporary zero.
+_UMASK_LOCK = threading.Lock()
+
+
+def _umask() -> int:
+    with _UMASK_LOCK:
+        mask = os.umask(0)
+        os.umask(mask)
+    return mask
+
+
 def atomic_write_nifti(obj, path) -> None:
-    """write_nifti via a temp file + rename, so failures leave no partial output."""
+    """write_nifti via a unique temp file + rename, so failures leave no partial output.
+
+    The temp file sits in the target directory and keeps the target's
+    suffix (so a ``.gz`` target is still compressed); concurrent writes to
+    one path each rename a complete file, and the last rename wins.
+    """
     head, tail = os.path.split(str(path))
-    tmp = os.path.join(head, f".tmp-{tail}")  # prefix keeps the .gz suffix meaningful
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", suffix=f"-{tail}", dir=head or ".")
+    os.close(fd)
     try:
+        # mkstemp creates 0600; give the file the mode a plain open() would
+        os.chmod(tmp, 0o666 & ~_umask())
         write_nifti(obj, tmp)
         os.replace(tmp, path)
     finally:

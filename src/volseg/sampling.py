@@ -84,18 +84,29 @@ def extract_patch(vol: Volume3D, mask: LabelMask, offset, spec: PatchSpec,
 
 
 def normalize_patchwise(patch: np.ndarray, exempt_channels=frozenset(), eps: float = NORM_EPS) -> np.ndarray:
-    """Z-score each non-exempt channel over this patch; exempt channels pass through."""
+    """Z-score each non-exempt channel over this patch; exempt channels pass through.
+
+    Returns a float32 copy; ``patch`` is left unchanged. Each channel's
+    float32 residual ``x - mean`` is written in place and its statistics
+    are summed in float64, so a channel far from zero keeps its precision
+    and no float64 array of the channel's size is made.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    out = patch.copy()
+    out = np.array(patch, dtype=np.float32, order="C")
     exempt = set(exempt_channels)
-    for c in range(patch.shape[0]):
+    for c in range(out.shape[0]):
         if c in exempt:
             continue
-        values = patch[c].astype(np.float64)
-        mean = values.mean()
-        std = values.std()
-        out[c] = ((values - mean) / max(std, eps)).astype(np.float32)
+        ch = out[c].reshape(-1)
+        n = ch.size
+        ch -= np.float32(np.add.reduce(ch, dtype=np.float64) / n)
+        # residual mean left by rounding the mean to float32, and the variance
+        rmean = np.add.reduce(ch, dtype=np.float64) / n
+        var = np.einsum("i,i->", ch, ch, dtype=np.float64) / n - rmean * rmean
+        inv = 1.0 / max(np.sqrt(max(var, 0.0)), eps)
+        ch *= np.float32(inv)
+        ch -= np.float32(rmean * inv)
     return out
 
 

@@ -287,6 +287,20 @@ class TestInfer:
         assert code == 2
         assert "read-input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scan_is_read_input_error(self, tmp_path, capsys, bad):
+        data = np.random.default_rng(8).normal(size=(1, 8, 8, 8)).astype(np.float32)
+        data[0, 3, 4, 5] = bad
+        scan = tmp_path / "scan.nii.gz"
+        write_nifti(Volume3D(data, (1.0, 1.0, 1.0)), scan)
+        out = tmp_path / "x.nii.gz"
+        code = main(["infer", "--config", self.toy_config(tmp_path),
+                     "--weights", toy_weights(tmp_path), "--output", str(out), str(scan)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "read-input" in err and "1 non-finite" in err
+        assert not out.exists()
+
     def test_failure_leaves_no_partial_output(self, tmp_path, capsys):
         scan = self.toy_volume(tmp_path)
         bad_weights = tmp_path / "bad.vskw"

@@ -240,6 +240,18 @@ class TestEnsembleAndArgmax:
         np.testing.assert_allclose(out, expected, atol=1e-7)
         np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-5)
 
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    def test_bit_identical_to_float64_copy_and_add(self, members):
+        rng = np.random.default_rng(12 + members)
+        probs = [self.prob_volume(rng).data for _ in range(members)]
+        expected = probs[0].astype(np.float64)
+        for p in probs[1:]:
+            expected += p
+        expected /= members
+        out = ensemble_predict(probs)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, expected)
+
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError, match="shape mismatch"):

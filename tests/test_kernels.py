@@ -31,6 +31,17 @@ class TestConv3dCore:
         expected = naive_conv3d(x, weights, np.zeros(cout))
         np.testing.assert_allclose(out, expected, atol=1e-5)
 
+    @pytest.mark.parametrize("cout", [1, 2, 3])
+    def test_single_input_channel_pointwise_equals_gemm(self, cout):
+        # one product per output, so the outer product rounds exactly as the GEMM
+        rng = np.random.default_rng(20 + cout)
+        x, padded, weights = _conv_case(rng, 1, cout, 1, (6, 5, 4))
+        out = conv3d_core(padded, weights)
+        gemm = (weights.reshape(cout, 1) @ padded.reshape(1, -1)).reshape(out.shape)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, gemm)
+        np.testing.assert_allclose(out, naive_conv3d(x, weights, np.zeros(cout)), atol=1e-5)
+
     @pytest.mark.parametrize("planes_per_chunk", [1, 2, 3])
     def test_chunked_equals_single_chunk(self, monkeypatch, planes_per_chunk):
         # 7 X planes split into chunks of 1, 2 or 3 planes (the last one

@@ -235,6 +235,13 @@ class TestForward:
         assert np.isfinite(probs).all()
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-6)
 
+    def test_softmax_channels_in_place_equals_out_of_place(self):
+        x = np.random.default_rng(7).normal(scale=5.0, size=(3, 4, 4, 2)).astype(np.float32)
+        expected = softmax_channels(x)
+        out = softmax_channels(x, out=x)
+        assert out is x
+        np.testing.assert_array_equal(out, expected)
+
     def test_softmax_channels_leaves_input_unchanged(self):
         x = np.random.default_rng(6).normal(size=(3, 4, 4, 2)).astype(np.float32)
         before = x.copy()

@@ -1,10 +1,18 @@
+import os
+import stat
+import sys
+import threading
+import zlib
+
 import numpy as np
 import pytest
 
 from volseg.nifti import (
     _HEADER,
+    GZIP_LEVEL,
     NiftiFormatError,
     NiftiUnsupportedError,
+    atomic_write_nifti,
     read_nifti,
     write_nifti,
 )
@@ -80,6 +88,60 @@ class TestRoundTrip:
         write_nifti(vol, a)
         write_nifti(vol, b)
         assert a.read_bytes() == b.read_bytes()
+        # 10-byte gzip header without a file name, deflate body at GZIP_LEVEL, 8-byte trailer
+        write_nifti(vol, tmp_path / "raw.nii")
+        deflate = zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS)
+        raw = (tmp_path / "raw.nii").read_bytes()
+        assert a.read_bytes()[10:-8] == deflate.compress(raw) + deflate.flush()
+
+
+class TestAtomicWrite:
+    def masks(self):
+        rng = np.random.default_rng(7)
+        return [LabelMask(rng.integers(0, 3, size=(12, 10, 8)).astype(np.uint8), (1, 1, 1))
+                for _ in range(2)]
+
+    def test_concurrent_writers_leave_one_whole_file(self, tmp_path):
+        masks = self.masks()
+        path = tmp_path / "labels.nii.gz"
+        errors = []
+
+        def writer(mask):
+            try:
+                for _ in range(20):
+                    atomic_write_nifti(mask, path)
+            except Exception as exc:  # surfaced below; a thread cannot fail the test
+                errors.append(exc)
+
+        # more writers than cores, switching threads as often as possible
+        threads = [threading.Thread(target=writer, args=(masks[i % 2],)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert os.listdir(tmp_path) == ["labels.nii.gz"]
+        back = read_nifti(path, as_mask=True).labels
+        assert any(np.array_equal(back, m.labels) for m in masks)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            atomic_write_nifti(np.zeros((2, 2, 2), np.uint8), tmp_path / "x.nii.gz")
+        assert os.listdir(tmp_path) == []
+
+    def test_mode_matches_a_plain_write(self, tmp_path):
+        mask = self.masks()[0]
+        write_nifti(mask, tmp_path / "plain.nii.gz")
+        atomic_write_nifti(mask, tmp_path / "atomic.nii.gz")
+        modes = [stat.S_IMODE(os.stat(tmp_path / n).st_mode) for n in ("plain.nii.gz", "atomic.nii.gz")]
+        assert modes[0] == modes[1]
+        assert (tmp_path / "atomic.nii.gz").read_bytes() == (tmp_path / "plain.nii.gz").read_bytes()
 
 
 class TestHeaderFields:

@@ -150,6 +150,25 @@ class TestNormalizePatchwise:
         out = normalize_patchwise(patch)
         np.testing.assert_array_equal(out, np.zeros_like(patch))
 
+    def test_constant_channel_is_exact_zero_and_input_untouched(self):
+        rng = np.random.default_rng(12)
+        patch = np.stack([np.full((5, 4, 3), 1e4 + 0.5, np.float32),
+                          rng.normal(size=(5, 4, 3)).astype(np.float32)])
+        before = patch.copy()
+        out = normalize_patchwise(patch)
+        assert out.dtype == np.float32
+        assert (out[0] == 0.0).all()
+        np.testing.assert_array_equal(patch, before)
+
+    def test_channel_far_from_zero_matches_float64_oracle(self):
+        rng = np.random.default_rng(13)
+        patch = rng.normal(1e4, 1.0, size=(2, 16, 12, 8)).astype(np.float32)
+        patch[1] = rng.normal(-1e4, 1.0, size=(16, 12, 8))
+        out = normalize_patchwise(patch)
+        for c in range(2):
+            x = patch[c].astype(np.float64)
+            np.testing.assert_allclose(out[c], (x - x.mean()) / x.std(), atol=1e-5)
+
     def test_affine_rescale_invariance(self):
         rng = np.random.default_rng(9)
         patch = rng.normal(size=(1, 5, 5, 5)).astype(np.float32)
