@@ -101,20 +101,32 @@ def _rotation_coords(xs: int, ys: int, angle_deg: float):
     return xi, yi
 
 
-def _bilinear_xy(plane_src: np.ndarray, xi: np.ndarray, yi: np.ndarray) -> np.ndarray:
-    # sample (X, Y, Z) at per-(x, y) coordinates shared across Z, zero fill
-    xs, ys = plane_src.shape[:2]
+def _bilinear_corners(xs: int, ys: int, xi: np.ndarray, yi: np.ndarray):
+    # the four corners of each (x, y) sample: flat x * ys + y row index of an
+    # (X * Y, Z) view and weight wx * wy, zero where the corner lies outside
     x0 = np.floor(xi).astype(np.int64)
     y0 = np.floor(yi).astype(np.int64)
-    fx = (xi - x0)[..., None]
-    fy = (yi - y0)[..., None]
-    out = np.zeros(xi.shape + plane_src.shape[2:], dtype=np.float64)
+    fx = xi - x0
+    fy = yi - y0
+    corners = []
     for xo, wx in ((x0, 1.0 - fx), (x0 + 1, fx)):
         for yo, wy in ((y0, 1.0 - fy), (y0 + 1, fy)):
-            inside = ((xo >= 0) & (xo < xs) & (yo >= 0) & (yo < ys))[..., None]
-            vals = plane_src[xo.clip(0, xs - 1), yo.clip(0, ys - 1)]
-            out += np.where(inside, wx * wy * vals, 0.0)
-    return out
+            inside = (xo >= 0) & (xo < xs) & (yo >= 0) & (yo < ys)
+            rows = xo.clip(0, xs - 1) * ys + yo.clip(0, ys - 1)
+            corners.append((rows.ravel(), (wx * wy * inside).reshape(-1, 1)))
+    return corners
+
+
+def _bilinear_xy(plane_src: np.ndarray, corners) -> np.ndarray:
+    # sample (X, Y, Z) at per-(x, y) coordinates shared across Z, zero fill
+    src = plane_src.reshape(-1, plane_src.shape[2])
+    out = np.zeros(src.shape, dtype=np.float64)
+    vals = np.empty(src.shape, dtype=plane_src.dtype)
+    term = np.empty(src.shape, dtype=np.float64)
+    for rows, weight in corners:
+        np.take(src, rows, axis=0, out=vals, mode="clip")  # rows are in range
+        out += np.multiply(weight, vals, out=term)
+    return out.reshape(plane_src.shape)
 
 
 def _nearest_xy(plane_src: np.ndarray, xi: np.ndarray, yi: np.ndarray, fill):
@@ -135,12 +147,13 @@ def rotate_z(patch: PatchSample, angle_deg: float, nearest_channels=frozenset())
     """
     xs, ys = patch.data.shape[1:3]
     xi, yi = _rotation_coords(xs, ys, angle_deg)
+    corners = _bilinear_corners(xs, ys, xi, yi)
     data = np.empty_like(patch.data)
     for c in range(patch.data.shape[0]):
         if c in nearest_channels:
             data[c] = _nearest_xy(patch.data[c], xi, yi, np.float32(0.0))
         else:
-            data[c] = _bilinear_xy(patch.data[c], xi, yi).astype(np.float32)
+            data[c] = _bilinear_xy(patch.data[c], corners)
     mask = _nearest_xy(patch.mask_patch, xi, yi, np.uint8(0)).astype(np.uint8)
     return replace(patch, data=data, mask_patch=mask)
 
@@ -156,9 +169,33 @@ def adjust_contrast(patch: PatchSample, gamma: float, exempt_channels=frozenset(
         values = data[c].astype(np.float64)
         lo, hi = values.min(), values.max()
         if hi > lo:
-            t = (values - lo) / (hi - lo)
-            data[c] = (lo + (hi - lo) * t ** gamma).astype(np.float32)
+            # lo + (hi - lo) * t ** gamma with t = (values - lo) / (hi - lo), in place
+            values -= lo
+            values /= hi - lo
+            np.power(values, gamma, out=values)
+            values *= hi - lo
+            values += lo
+            data[c] = values
     return replace(patch, data=data, mask_patch=patch.mask_patch.copy())
+
+
+def _bias_field(dims, coeffs: np.ndarray) -> np.ndarray:
+    # 1 + sum c_ijk x^i y^j z^k over 0 < i + j + k <= order, as a contraction
+    # over z, then x, then a batched matmul over y
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    order = coeffs.shape[0] - 1
+    powers = []
+    for n in dims:
+        u = np.zeros(n) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0
+        powers.append(np.stack([u ** p for p in range(order + 1)]))
+    ux, uy, uz = powers
+    degree = np.indices(coeffs.shape).sum(axis=0)
+    coeffs = np.where((degree == 0) | (degree > order), 0.0, coeffs)
+    cz = np.einsum("ijk,kz->ijz", coeffs, uz)
+    cxz = np.einsum("ix,ijz->xjz", ux, cz)
+    field = np.matmul(uy.T, cxz)
+    field += 1.0
+    return field
 
 
 def apply_bias_field(patch: PatchSample, coeffs: np.ndarray,
@@ -169,26 +206,13 @@ def apply_bias_field(patch: PatchSample, coeffs: np.ndarray,
     i + j + k > order or (0, 0, 0) are ignored. Coordinates are normalized
     to [-1, 1] per axis and the field is clamped to ``amplitude``.
     """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    order = coeffs.shape[0] - 1
-    axes = []
-    for n in patch.data.shape[1:]:
-        u = np.zeros(n) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0
-        axes.append(np.stack([u ** p for p in range(order + 1)]))
-    ux, uy, uz = axes
-    field = np.ones(patch.data.shape[1:], dtype=np.float64)
-    for i in range(order + 1):
-        for j in range(order + 1):
-            for k in range(order + 1):
-                if i + j + k == 0 or i + j + k > order or coeffs[i, j, k] == 0.0:
-                    continue
-                field += coeffs[i, j, k] * ux[i][:, None, None] * uy[j][None, :, None] * uz[k][None, None, :]
+    field = _bias_field(patch.data.shape[1:], coeffs)
     np.clip(field, amplitude[0], amplitude[1], out=field)
     field32 = field.astype(np.float32)
     data = patch.data.copy()
     for c in range(data.shape[0]):
         if c not in exempt_channels:
-            data[c] = data[c] * field32
+            data[c] *= field32
     return replace(patch, data=data, mask_patch=patch.mask_patch.copy())
 
 
@@ -201,7 +225,7 @@ def add_gaussian_noise(patch: PatchSample, sigma: float, rng: np.random.Generato
     if sigma > 0:
         for c in range(data.shape[0]):
             if c not in exempt_channels:
-                data[c] = data[c] + rng.normal(0.0, sigma, size=data[c].shape).astype(np.float32)
+                data[c] += rng.normal(0.0, sigma, size=data[c].shape).astype(np.float32)
     return replace(patch, data=data, mask_patch=patch.mask_patch.copy())
 
 
@@ -215,7 +239,9 @@ def apply_motion_ghost(patch: PatchSample, shift: int, weight: float,
         for c in range(data.shape[0]):
             if c not in exempt_channels:
                 ghost = np.roll(data[c], int(shift), axis=1)
-                data[c] = (1.0 - weight) * data[c] + weight * ghost
+                ghost *= weight
+                data[c] *= 1.0 - weight
+                data[c] += ghost
     return replace(patch, data=data, mask_patch=patch.mask_patch.copy())
 
 

@@ -77,8 +77,10 @@ def recall(truth: np.ndarray, pred: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_batch(batch_truth: np.ndarray, batch_prob: np.ndarray):
-    batch_truth = np.asarray(batch_truth, dtype=np.float64)
-    batch_prob = np.asarray(batch_prob, dtype=np.float64)
+    # kept at their own dtype: the class sums accumulate in float64 without
+    # a float64 copy of either tensor
+    batch_truth = np.asarray(batch_truth)
+    batch_prob = np.asarray(batch_prob)
     if batch_truth.shape != batch_prob.shape or batch_truth.ndim != 5:
         raise ValueError(
             f"expected matching (N, C, X, Y, Z) tensors, got {batch_truth.shape} and {batch_prob.shape}"
@@ -87,35 +89,36 @@ def _check_batch(batch_truth: np.ndarray, batch_prob: np.ndarray):
 
 
 def _class_sums(batch_truth, batch_prob):
-    axes = (0, 2, 3, 4)
-    s_y = batch_truth.sum(axis=axes)
-    s_p = batch_prob.sum(axis=axes)
-    inter = (batch_truth * batch_prob).sum(axis=axes)
+    s_y = np.einsum("ncxyz->c", batch_truth, dtype=np.float64)
+    s_p = np.einsum("ncxyz->c", batch_prob, dtype=np.float64)
+    inter = np.einsum("ncxyz,ncxyz->c", batch_truth, batch_prob, dtype=np.float64)
     present = s_y > 0
+    if not present.any():
+        raise ValueError("no class present in the batch ground truth")
     return s_y, s_p, inter, present
 
 
 def dice_loss(batch_truth: np.ndarray, batch_prob: np.ndarray) -> float:
-    """Batch Dice loss averaged over the classes present in the truth."""
-    batch_truth, batch_prob = _check_batch(batch_truth, batch_prob)
-    s_y, s_p, inter, present = _class_sums(batch_truth, batch_prob)
-    if not present.any():
-        raise ValueError("no class present in the batch ground truth")
+    """Batch Dice loss averaged over the classes present in the truth.
+
+    Inputs of any real dtype are summed in float64 without being copied.
+    """
+    s_y, s_p, inter, present = _class_sums(*_check_batch(batch_truth, batch_prob))
     losses = 1.0 - 2.0 * inter[present] / (s_y[present] + s_p[present])
     return float(losses.mean())
 
 
 def dice_loss_grad(batch_truth: np.ndarray, batch_prob: np.ndarray) -> np.ndarray:
-    """d(dice_loss)/d(batch_prob), zero on channels of absent classes."""
+    """d(dice_loss)/d(batch_prob) as float64, exactly zero on channels of absent classes."""
     batch_truth, batch_prob = _check_batch(batch_truth, batch_prob)
     s_y, s_p, inter, present = _class_sums(batch_truth, batch_prob)
-    if not present.any():
-        raise ValueError("no class present in the batch ground truth")
     n_present = int(present.sum())
-    grad = np.zeros_like(batch_prob)
+    grad = np.zeros(batch_prob.shape, dtype=np.float64)
     for c in np.nonzero(present)[0]:
+        # -2 (y denom - inter) / (denom^2 n), written straight into the slice
         denom = s_y[c] + s_p[c]
-        grad[:, c] = -2.0 * (batch_truth[:, c] * denom - inter[c]) / denom**2 / n_present
+        np.multiply(batch_truth[:, c], np.float64(-2.0 / (denom * n_present)), out=grad[:, c])
+        grad[:, c] += np.float64(2.0 * inter[c] / (denom**2 * n_present))
     return grad
 
 

@@ -8,9 +8,11 @@ bit-exact.
 """
 
 import gzip
+import math
 import os
 import tempfile
 import threading
+import zlib
 
 import numpy as np
 
@@ -114,6 +116,62 @@ def _open(path, mode):
     return open(path, mode)
 
 
+# deflate expands at most 1032:1, which bounds what a .nii.gz can hold
+_DEFLATE_MAX_RATIO = 1032
+
+
+def _read_header_and_payload(f, path):
+    raw = f.read(_HEADER.itemsize)
+    if len(raw) < _HEADER.itemsize:
+        raise IOError(f"{path}: file shorter than a NIfTI-1 header")
+    byteorder = "="
+    hdr = np.frombuffer(raw, dtype=_HEADER)[0]
+    if hdr["sizeof_hdr"] != 348:
+        byteorder = "S"
+        hdr = np.frombuffer(raw, dtype=_HEADER.newbyteorder())[0]
+        if hdr["sizeof_hdr"] != 348:
+            raise NiftiFormatError(f"{path}: header size field is not 348")
+    magic = bytes(hdr["magic"]).rstrip(b"\x00")
+    if magic != b"n+1":
+        raise NiftiFormatError(f"{path}: bad magic {magic!r}, expected single-file NIfTI-1")
+
+    code = int(hdr["datatype"])
+    if code not in _DTYPES:
+        raise NiftiUnsupportedError(f"{path}: unsupported datatype code {code}")
+    dtype = np.dtype(_DTYPES[code]).newbyteorder(byteorder)
+
+    ndim = int(hdr["dim"][0])
+    if ndim == 3:
+        channels = 1
+    elif ndim == 4:
+        channels = max(int(hdr["dim"][4]), 1)
+    else:
+        raise NiftiFormatError(f"{path}: only 3-D or 4-D images are supported, got dim[0]={ndim}")
+    dims = tuple(int(d) for d in hdr["dim"][1:4])
+    if min(dims) < 1:
+        raise NiftiFormatError(f"{path}: non-positive dims {dims}")
+    spacing = tuple(abs(float(p)) for p in hdr["pixdim"][1:4])
+    if not all(math.isfinite(p) and p > 0 for p in spacing):
+        raise NiftiFormatError(f"{path}: non-positive or non-finite pixdim {spacing}")
+    vox_offset = float(hdr["vox_offset"])
+    if not math.isfinite(vox_offset):
+        raise NiftiFormatError(f"{path}: non-finite vox_offset {vox_offset}")
+
+    offset = max(int(vox_offset), _HEADER.itemsize)
+    n_bytes = channels * dims[0] * dims[1] * dims[2] * dtype.itemsize
+    # a header whose payload cannot fit in the file is refused before reading
+    size = os.fstat(f.fileno()).st_size
+    capacity = size * _DEFLATE_MAX_RATIO if isinstance(f, gzip.GzipFile) else size
+    if offset + n_bytes > capacity:
+        raise IOError(f"{path}: truncated payload, header needs {offset + n_bytes} bytes, "
+                      f"the file holds at most {capacity}")
+    f.seek(offset)
+    payload = f.read(n_bytes)
+    if len(payload) < n_bytes:
+        raise IOError(f"{path}: truncated payload, expected {n_bytes} bytes, got {len(payload)}")
+    return hdr, dtype, channels, dims, spacing, payload
+
+
 def read_nifti(path, as_mask: bool = False):
     """Read a NIfTI-1 file as a :class:`Volume3D` (or :class:`LabelMask`).
 
@@ -121,49 +179,15 @@ def read_nifti(path, as_mask: bool = False):
         path: .nii or .nii.gz file.
         as_mask: load an integer-typed file with values in {0, 1, 2} as a
             LabelMask instead of a float volume.
+
+    A malformed file raises :class:`NiftiFormatError`,
+    :class:`NiftiUnsupportedError` or ``IOError`` naming ``path``.
     """
-    with _open(path, "rb") as f:
-        raw = f.read(_HEADER.itemsize)
-        if len(raw) < _HEADER.itemsize:
-            raise IOError(f"{path}: file shorter than a NIfTI-1 header")
-        byteorder = "="
-        hdr = np.frombuffer(raw, dtype=_HEADER)[0]
-        if hdr["sizeof_hdr"] != 348:
-            byteorder = "S"
-            hdr = np.frombuffer(raw, dtype=_HEADER.newbyteorder())[0]
-            if hdr["sizeof_hdr"] != 348:
-                raise NiftiFormatError(f"{path}: header size field is not 348")
-        magic = bytes(hdr["magic"]).rstrip(b"\x00")
-        if magic != b"n+1":
-            raise NiftiFormatError(f"{path}: bad magic {magic!r}, expected single-file NIfTI-1")
-
-        code = int(hdr["datatype"])
-        if code not in _DTYPES:
-            raise NiftiUnsupportedError(f"{path}: unsupported datatype code {code}")
-        dtype = np.dtype(_DTYPES[code]).newbyteorder(byteorder)
-
-        ndim = int(hdr["dim"][0])
-        if ndim == 3:
-            channels = 1
-        elif ndim == 4:
-            channels = max(int(hdr["dim"][4]), 1)
-        else:
-            raise NiftiFormatError(f"{path}: only 3-D or 4-D images are supported, got dim[0]={ndim}")
-        dims = tuple(int(d) for d in hdr["dim"][1:4])
-        if min(dims) < 1:
-            raise NiftiFormatError(f"{path}: non-positive dims {dims}")
-        spacing = tuple(abs(float(p)) for p in hdr["pixdim"][1:4])
-        if min(spacing) <= 0:
-            raise NiftiFormatError(f"{path}: non-positive pixdim {spacing}")
-
-        offset = max(int(hdr["vox_offset"]), _HEADER.itemsize)
-        f.seek(offset)
-        n_vox = channels * dims[0] * dims[1] * dims[2]
-        payload = f.read(n_vox * dtype.itemsize)
-        if len(payload) < n_vox * dtype.itemsize:
-            raise IOError(
-                f"{path}: truncated payload, expected {n_vox * dtype.itemsize} bytes, got {len(payload)}"
-            )
+    try:
+        with _open(path, "rb") as f:
+            hdr, dtype, channels, dims, spacing, payload = _read_header_and_payload(f, path)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise NiftiFormatError(f"{path}: corrupt gzip stream: {exc}") from exc
 
     # disk order is x-fastest; bring to (C, X, Y, Z)
     arr = np.frombuffer(payload, dtype=dtype).reshape((channels,) + dims[::-1])
@@ -176,12 +200,12 @@ def read_nifti(path, as_mask: bool = False):
 
     if as_mask:
         if channels != 1:
-            raise ValueError(f"{path}: cannot load a {channels}-channel image as a mask")
+            raise NiftiFormatError(f"{path}: cannot load a {channels}-channel image as a mask")
         if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"{path}: mask request on a non-integer datatype")
+            raise NiftiFormatError(f"{path}: mask request on a non-integer datatype")
         values = np.unique(arr)
         if not np.isin(values, (0, 1, 2)).all():
-            raise ValueError(f"{path}: mask values {values.tolist()} outside {{0, 1, 2}}")
+            raise NiftiFormatError(f"{path}: mask values {values.tolist()} outside {{0, 1, 2}}")
         return LabelMask(arr[0].astype(np.uint8), spacing)
 
     data = np.ascontiguousarray(arr, dtype=np.float32)

@@ -50,9 +50,9 @@ def _max_offsets(dims, size):
 def sample_patch_position(mask: LabelMask, spec: PatchSpec, rng: np.random.Generator):
     """Draw a patch offset; returns (offset, provenance)."""
     max_off = _max_offsets(mask.dims, spec.size)
-    foreground = np.argwhere(mask.labels > 0)
+    foreground = np.flatnonzero(mask.labels)  # C order, as np.argwhere lists voxels
     if len(foreground) > 0 and rng.random() < spec.target_fraction:
-        voxel = foreground[rng.integers(len(foreground))]
+        voxel = np.unravel_index(foreground[rng.integers(len(foreground))], mask.dims)
         offset = []
         for v, s, m in zip(voxel, spec.size, max_off):
             lo = max(int(v) - s + 1, 0)

@@ -200,3 +200,75 @@ def overlap_counts(truth, pred):
         if a and b:
             tp += 1
     return tp, n_t, n_p
+
+
+def dice_loss_float64(truth, prob):
+    """Batch Dice loss over present classes and its gradient from float64
+    copies of (N, C, X, Y, Z) inputs, class by class."""
+    truth = np.asarray(truth, dtype=np.float64)
+    prob = np.asarray(prob, dtype=np.float64)
+    axes = (0, 2, 3, 4)
+    s_y = truth.sum(axis=axes)
+    s_p = prob.sum(axis=axes)
+    inter = (truth * prob).sum(axis=axes)
+    present = s_y > 0
+    n_present = int(present.sum())
+    losses = [1.0 - 2.0 * inter[c] / (s_y[c] + s_p[c]) for c in np.nonzero(present)[0]]
+    grad = np.zeros_like(prob)
+    for c in np.nonzero(present)[0]:
+        denom = s_y[c] + s_p[c]
+        grad[:, c] = -2.0 * (truth[:, c] * denom - inter[c]) / denom**2 / n_present
+    return float(np.mean(losses)), grad
+
+
+def bias_field_triple_loop(dims, coeffs):
+    """1 + sum c_ijk x^i y^j z^k over 0 < i + j + k <= order on [-1, 1]
+    coordinates, one full-volume term per coefficient, unclamped float64."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    order = coeffs.shape[0] - 1
+    axes = []
+    for n in dims:
+        u = np.zeros(n) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0
+        axes.append(np.stack([u ** p for p in range(order + 1)]))
+    ux, uy, uz = axes
+    field = np.ones(tuple(dims), dtype=np.float64)
+    for i in range(order + 1):
+        for j in range(order + 1):
+            for k in range(order + 1):
+                if i + j + k == 0 or i + j + k > order or coeffs[i, j, k] == 0.0:
+                    continue
+                field += coeffs[i, j, k] * ux[i][:, None, None] * uy[j][None, :, None] * uz[k][None, None, :]
+    return field
+
+
+def bilinear_xy_where(plane_src, xi, yi):
+    """Bilinear (X, Y, Z) sampling at per-(x, y) coordinates shared across Z,
+    zero outside: four gathered corner grids masked with np.where, float64."""
+    xs, ys = plane_src.shape[:2]
+    x0 = np.floor(xi).astype(np.int64)
+    y0 = np.floor(yi).astype(np.int64)
+    fx = (xi - x0)[..., None]
+    fy = (yi - y0)[..., None]
+    out = np.zeros(xi.shape + plane_src.shape[2:], dtype=np.float64)
+    for xo, wx in ((x0, 1.0 - fx), (x0 + 1, fx)):
+        for yo, wy in ((y0, 1.0 - fy), (y0 + 1, fy)):
+            inside = ((xo >= 0) & (xo < xs) & (yo >= 0) & (yo < ys))[..., None]
+            vals = plane_src[xo.clip(0, xs - 1), yo.clip(0, ys - 1)]
+            out += np.where(inside, wx * wy * vals, 0.0)
+    return out
+
+
+def patch_position_argwhere(labels, size, target_fraction, rng):
+    """Patch offset draw over an (n_fg, 3) np.argwhere list of foreground
+    voxels; returns (offset, provenance)."""
+    max_off = [max(d - s, 0) for d, s in zip(labels.shape, size)]
+    foreground = np.argwhere(labels > 0)
+    if len(foreground) > 0 and rng.random() < target_fraction:
+        voxel = foreground[rng.integers(len(foreground))]
+        offset = []
+        for v, s, m in zip(voxel, size, max_off):
+            lo = max(int(v) - s + 1, 0)
+            hi = min(int(v), m)
+            offset.append(int(rng.integers(lo, hi + 1)))
+        return tuple(offset), "targeted"
+    return tuple(int(rng.integers(0, m + 1)) for m in max_off), "random"

@@ -4,6 +4,8 @@ import pytest
 from volseg.augmentation import (
     AugmentationPolicy,
     TransformParams,
+    _bias_field,
+    _rotation_coords,
     add_gaussian_noise,
     adjust_contrast,
     apply_augmentations,
@@ -15,6 +17,8 @@ from volseg.augmentation import (
     scheduled_probability,
 )
 from volseg.sampling import PatchSample
+
+from oracles import bias_field_triple_loop, bilinear_xy_where
 
 
 def make_patch(rng, channels=1, dims=(6, 6, 4)):
@@ -188,6 +192,28 @@ class TestTransformBehavior:
             add_gaussian_noise(patch, -0.1, np.random.default_rng(0))
         with pytest.raises(ValueError):
             apply_motion_ghost(patch, 1, 1.5)
+
+
+class TestFastPathOracles:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_separable_bias_field_matches_triple_loop(self, order):
+        rng = np.random.default_rng(20 + order)
+        for dims in ((9, 6, 4), (7, 5, 1), (1, 8, 3)):
+            coeffs = rng.uniform(-0.5, 0.5, size=(order + 1,) * 3)
+            np.testing.assert_allclose(_bias_field(dims, coeffs), bias_field_triple_loop(dims, coeffs),
+                                       rtol=0, atol=1e-12)
+
+    def test_rotation_matches_four_corner_oracle_bit_identically(self):
+        rng = np.random.default_rng(21)
+        data = rng.normal(size=(3, 13, 11, 5)).astype(np.float32) * 40.0 + 7.0
+        data[1] = rng.integers(0, 2, size=(13, 11, 5))
+        patch = PatchSample((0, 0, 0), data, rng.integers(0, 3, size=(13, 11, 5)).astype(np.uint8), "random")
+        for angle in (7.3, -15.0, 33.0, 90.0, 180.0):
+            out = rotate_z(patch, angle, nearest_channels={1})
+            xi, yi = _rotation_coords(13, 11, angle)
+            for c in (0, 2):
+                expected = bilinear_xy_where(data[c], xi, yi).astype(np.float32)
+                np.testing.assert_array_equal(out.data[c].view(np.uint32), expected.view(np.uint32))
 
 
 class TestApplyAugmentations:

@@ -172,7 +172,7 @@ class TestEvaluate:
         assert main(["evaluate", str(truth_dir), str(pred_dir), "--csv", str(csv_out)]) == 0
         out = capsys.readouterr().out
         assert re.search(r"GTVp\s+GTVn\s+Average", out)
-        rows = {r[0]: r for r in csv.reader(csv_out.open())}
+        rows = {r[0]: r for r in csv.reader(csv_out.read_text().splitlines())}
         assert float(rows["AGG_MEAN"][2]) == 1.0
 
     def test_csv_matches_counting_oracle(self, tmp_path):
@@ -182,7 +182,7 @@ class TestEvaluate:
         pred_dir, preds = self.write_masks(tmp_path, rng, names, "pred")
         csv_out = tmp_path / "report.csv"
         assert main(["evaluate", str(truth_dir), str(pred_dir), "--csv", str(csv_out)]) == 0
-        rows = {r[0] + "/" + r[1]: r for r in csv.reader(csv_out.open())}
+        rows = {r[0] + "/" + r[1]: r for r in csv.reader(csv_out.read_text().splitlines())}
         for class_id, class_name in ((1, "GTVp"), (2, "GTVn")):
             tp = n_t = n_p = 0
             for name in names:
@@ -208,6 +208,16 @@ class TestEvaluate:
         truth_dir, _ = self.write_masks(tmp_path, rng, ["a.nii"], "truth")
         pred_dir, _ = self.write_masks(tmp_path, rng, ["b.nii"], "pred")
         assert main(["evaluate", str(truth_dir), str(pred_dir)]) == 2
+
+    def test_truncated_gzip_mask_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        truth_dir, _ = self.write_masks(tmp_path, rng, ["a.nii.gz"], "truth")
+        pred_dir, _ = self.write_masks(tmp_path, rng, ["a.nii.gz"], "pred")
+        raw = (pred_dir / "a.nii.gz").read_bytes()
+        (pred_dir / "a.nii.gz").write_bytes(raw[: len(raw) // 2])
+        assert main(["evaluate", str(truth_dir), str(pred_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "a.nii.gz" in err and "Traceback" not in err
 
 
 class TestInfer:

@@ -14,7 +14,7 @@ from volseg.metrics import (
 )
 from volseg.volume import LabelMask
 
-from oracles import overlap_counts
+from oracles import dice_loss_float64, overlap_counts
 
 
 def random_pair(rng, dims=(6, 6, 6), p=0.3):
@@ -210,6 +210,23 @@ class TestDiceLossGrad:
         assert (grad[:, 1] == 0.0).all()
         assert (grad[:, 2] == 0.0).all()
         assert (grad[:, 0] != 0.0).any()
+
+
+    def test_float32_input_matches_float64_oracle(self):
+        rng = np.random.default_rng(9)
+        labels = rng.integers(0, 2, size=(2, 6, 5, 4))  # class 2 absent
+        truth = one_hot(labels).astype(np.float32)
+        raw = rng.random((2, 3, 6, 5, 4)) + 0.05
+        prob = (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
+        ref_loss, ref_grad = dice_loss_float64(truth.astype(np.float64), prob.astype(np.float64))
+        assert abs(dice_loss(truth, prob) - ref_loss) < 1e-12
+        grad = dice_loss_grad(truth, prob)
+        assert grad.dtype == np.float64
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+        assert not grad[:, 2].any()
+        # float64 input is used as it is
+        np.testing.assert_allclose(dice_loss_grad(truth.astype(np.float64), prob.astype(np.float64)),
+                                   ref_grad, rtol=0, atol=1e-12)
 
 
 class TestEvaluateSet:

@@ -11,6 +11,8 @@ from volseg.sampling import (
 )
 from volseg.volume import LabelMask, Volume3D
 
+from oracles import patch_position_argwhere
+
 
 def empty_mask(dims):
     return LabelMask(np.zeros(dims, np.uint8), (1, 1, 1))
@@ -70,6 +72,17 @@ class TestSamplePosition:
         spec = PatchSpec(size=(8, 8, 8), target_fraction=1.0)
         off, _ = sample_patch_position(mask, spec, rng)
         assert off == (0, 0, 0)
+
+
+    def test_offsets_match_argwhere_oracle(self):
+        labels = np.random.default_rng(5).integers(0, 3, size=(20, 17, 9)).astype(np.uint8)
+        labels[np.random.default_rng(6).random(labels.shape) < 0.97] = 0
+        mask = LabelMask(labels, (1, 1, 1))
+        spec = PatchSpec(size=(8, 8, 4), target_fraction=0.9)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(200):
+            assert sample_patch_position(mask, spec, rng) == \
+                patch_position_argwhere(labels, spec.size, spec.target_fraction, ref_rng)
 
 
 class TestExtractPatch:
