@@ -42,6 +42,7 @@ from .network import (
     build_unet,
     count_parameters,
     forward,
+    layer_plan,
     load_weights,
     save_weights,
 )

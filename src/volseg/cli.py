@@ -17,7 +17,7 @@ import numpy as np
 from .augmentation import AugmentationPolicy, TransformParams, apply_augmentations, scheduled_probability
 from .inference import SlidingWindowConfig, argmax_labels, ensemble_predict, sliding_window_predict
 from .metrics import CLASS_NAMES, evaluate_set
-from .network import NetworkConfig, build_unet, count_parameters, forward, load_weights
+from .network import NetworkConfig, forward, layer_plan, load_weights
 from .nifti import atomic_write_nifti, read_nifti, write_nifti
 from .sampling import PatchSample
 from .volume import LabelMask, Volume3D, resample_linear, resample_nearest, restore_resolution
@@ -177,17 +177,17 @@ def _kernel_str(kernel) -> str:
 
 def cmd_net_info(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
-    model = build_unet(cfg.network, init_seed=cfg.seed)
+    plan = layer_plan(cfg.network)
     print(f"{'layer':>5}  {'kind':<14}{'kernel':<8}{'cin':>6} -> {'cout':<6}{'params':>12}", file=out)
-    for i, lay in enumerate(model.layers):
+    for i, lay in enumerate(plan):
         print(f"{i:>5}  {lay.kind:<14}{_kernel_str(lay.kernel):<8}{lay.cin:>6} -> {lay.cout:<6}"
               f"{lay.param_count():>12,}", file=out)
-    total = count_parameters(model)
+    total = sum(lay.param_count() for lay in plan)
     all3 = replace(cfg.network, kernel_plan=(3,) * cfg.network.num_stages)
-    total_all3 = count_parameters(build_unet(all3, init_seed=cfg.seed))
-    plan = ",".join(str(k) for k in cfg.network.kernel_plan)
+    total_all3 = sum(lay.param_count() for lay in layer_plan(all3))
+    kernels = ",".join(str(k) for k in cfg.network.kernel_plan)
     print(f"first conv in-channels: {cfg.network.in_channels}", file=out)
-    print(f"total parameters (kernel plan {plan}): {total}", file=out)
+    print(f"total parameters (kernel plan {kernels}): {total}", file=out)
     print(f"total parameters (all 3x3x3 kernels): {total_all3}", file=out)
     return 0
 
@@ -335,9 +335,8 @@ def cmd_augment_preview(cfg: RunConfig, volume_path, mask_path, iteration, out_d
         patch = PatchSample((0, 0, 0), vol.data.copy(), mask.labels.copy(), "random")
         rng = np.random.default_rng(cfg.seed)
         log_entries = []
-        exempt = cfg.window.exempt_channels if cfg.task == "task2" else frozenset()
         result = apply_augmentations(patch, cfg.params, cfg.policy, iteration, rng,
-                                     exempt_channels=exempt, log=log_entries)
+                                     exempt_channels=cfg.window.exempt_channels, log=log_entries)
         p = scheduled_probability(iteration, cfg.policy)
 
         stage = "write-output"

@@ -1,4 +1,4 @@
-"""3D U-Net: construction, forward pass, parameter counts, weight files.
+"""3D U-Net: layer plan, construction, forward pass, parameter counts, weight files.
 
 Tensors are plain numpy float32 arrays shaped (C, X, Y, Z). The encoder
 has ``num_stages`` stages of conv blocks (conv -> instance norm -> ReLU)
@@ -10,10 +10,18 @@ conv plus channel softmax produces the class probabilities. Stage kernel
 sizes come from ``kernel_plan``; with the default plan (3,3,3,3,1,1) the
 1x1x1 kernels in stages 5-6 cut the parameter count from about 86M to
 about 14M.
+
+``layer_plan`` is the one description of this structure: the layers in
+execution order, without parameters. ``build_unet`` and ``load_weights``
+fill in the parameters, ``volseg net-info`` counts them from the plan's
+shapes, and ``forward`` interprets the list one layer at a time. Skips are
+a stack: each max pool pushes its input, and each upsample pops the
+innermost skip and concatenates it after the upsampled features.
 """
 
+import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from struct import Struct
 
 import numpy as np
@@ -80,28 +88,23 @@ class Layer:
         return ()
 
     def param_count(self) -> int:
-        n = 0
-        if self.weights is not None:
-            n += self.weights.size
-        if self.bias is not None:
-            n += self.bias.size
-        return n
+        return sum(math.prod(shape) for shape in self.param_shapes())
 
 
 @dataclass
 class Model:
     config: NetworkConfig
-    layers: list[Layer] = field(default_factory=list)
-    skip_plan: dict[int, int] = field(default_factory=dict)  # decoder stage -> encoder stage
+    layers: list[Layer]
 
 
-def _layer_specs(config: NetworkConfig):
-    """Yield (kind, kernel, cin, cout) in execution order."""
+def layer_plan(config: NetworkConfig) -> list[Layer]:
+    """The network's layers in execution order, without parameter arrays."""
+    plan = []
 
     def block(k, cin, cout):
-        yield ("conv", (k, k, k), cin, cout)
-        yield ("instance_norm", (0, 0, 0), cout, cout)
-        yield ("relu", (0, 0, 0), cout, cout)
+        plan.append(Layer("conv", (k, k, k), cin, cout))
+        plan.append(Layer("instance_norm", cin=cout, cout=cout))
+        plan.append(Layer("relu", cin=cout, cout=cout))
 
     # encoder
     for s in range(1, config.num_stages + 1):
@@ -109,30 +112,25 @@ def _layer_specs(config: NetworkConfig):
         w = config.stage_width(s)
         cin = config.in_channels if s == 1 else config.stage_width(s - 1)
         for b in range(config.convs_per_stage):
-            yield from block(k, cin if b == 0 else w, w)
+            block(k, cin if b == 0 else w, w)
         if s < config.num_stages:
-            yield ("max_pool", (2, 2, 2), w, w)
+            plan.append(Layer("max_pool", (2, 2, 2), w, w))  # pushes its input as a skip
     # decoder
     for s in range(config.num_stages - 1, 0, -1):
         w = config.stage_width(s)
-        yield from block(1, 2 * w, w)       # channel-halving conv block
-        yield ("upsample", (2, 2, 2), w, w)  # nearest 2x; skip concat follows
+        block(1, 2 * w, w)                               # channel-halving conv block
+        plan.append(Layer("upsample", (2, 2, 2), w, w))  # nearest 2x, then pops a skip
         for b in range(config.convs_per_stage):
-            yield from block(config.kernel_plan[s - 1], 2 * w if b == 0 else w, w)
-    yield ("conv", (1, 1, 1), config.base_width, config.num_classes)
-    yield ("softmax", (0, 0, 0), config.num_classes, config.num_classes)
-
-
-def _skeleton(config: NetworkConfig) -> Model:
-    """The layers in execution order, with no parameter arrays yet."""
-    layers = [Layer(*spec) for spec in _layer_specs(config)]
-    return Model(config, layers, {s: s for s in range(1, config.num_stages)})
+            block(config.kernel_plan[s - 1], 2 * w if b == 0 else w, w)
+    plan.append(Layer("conv", (1, 1, 1), config.base_width, config.num_classes))
+    plan.append(Layer("softmax", cin=config.num_classes, cout=config.num_classes))
+    return plan
 
 
 def build_unet(config: NetworkConfig, init_seed: int = 0) -> Model:
     """Construct the network with He-uniform weights from ``init_seed``."""
     rng = np.random.default_rng(init_seed)
-    model = _skeleton(config)
+    model = Model(config, layer_plan(config))
     for lay in model.layers:
         if lay.kind == "conv":
             fan_in = lay.kernel[0] * lay.kernel[1] * lay.kernel[2] * lay.cin
@@ -156,11 +154,9 @@ def count_parameters(model: Model) -> int:
 # primitive ops
 # ---------------------------------------------------------------------------
 
-def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray, kernel=None) -> Tensor4D:
+def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray) -> Tensor4D:
     """Zero-padded cross-correlation preserving spatial dims."""
     cout, cin, kx, ky, kz = weights.shape
-    if kernel is not None and tuple(kernel) != (kx, ky, kz):
-        raise ValueError(f"kernel {tuple(kernel)} does not match weight shape {(kx, ky, kz)}")
     if any(k % 2 == 0 for k in (kx, ky, kz)):
         raise ValueError("kernel edges must be odd")
     if x.shape[0] != cin:
@@ -233,8 +229,8 @@ def softmax_channels(x: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
 def forward(model: Model, x: Tensor4D) -> Tensor4D:
     """Run the network; returns (num_classes, X, Y, Z) channel probabilities.
 
-    In each decoder stage the upsampled features are concatenated first,
-    followed by the matching encoder stage output.
+    Walks ``model.layers`` in order. The ops are looked up in this module's
+    namespace at each call, so a wrapper installed on the module sees them.
     """
     cfg = model.config
     x = np.asarray(x, dtype=np.float32)
@@ -244,37 +240,22 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
     if any(d % divisor for d in x.shape[1:]):
         raise ValueError(f"spatial dims {x.shape[1:]} must be divisible by {divisor}")
 
-    layers = model.layers
-    pos = 0
-
-    def run_block(t):
-        nonlocal pos
-        conv_l, norm_l = layers[pos], layers[pos + 1]
-        pos += 3  # conv, instance_norm, relu
-        t = conv3d(t, conv_l.weights, conv_l.bias)
-        t = instance_norm(t, norm_l.weights, norm_l.bias, out=t)
-        return relu(t, out=t)
-
-    skips = {}
-    for s in range(1, cfg.num_stages + 1):
-        for _ in range(cfg.convs_per_stage):
-            x = run_block(x)
-        if s < cfg.num_stages:
-            skips[s] = x
+    skips = []
+    for lay in model.layers:
+        if lay.kind == "conv":
+            x = conv3d(x, lay.weights, lay.bias)
+        elif lay.kind == "instance_norm":
+            x = instance_norm(x, lay.weights, lay.bias, out=x)  # always a conv's fresh output
+        elif lay.kind == "relu":
+            x = relu(x, out=x)
+        elif lay.kind == "max_pool":
+            skips.append(x)
             x = max_pool_2x(x)
-            pos += 1
-    for s in range(cfg.num_stages - 1, 0, -1):
-        x = run_block(x)
-        x = nearest_upsample_2x(x)
-        pos += 1
-        x = np.concatenate([x, skips[model.skip_plan[s]]], axis=0)
-        for _ in range(cfg.convs_per_stage):
-            x = run_block(x)
-    final = layers[pos]
-    x = conv3d(x, final.weights, final.bias)
-    pos += 2  # final conv, softmax
-    assert pos == len(layers), "layer walk out of sync with layer list"
-    return softmax_channels(x, out=x)
+        elif lay.kind == "upsample":
+            x = np.concatenate([nearest_upsample_2x(x), skips.pop()], axis=0)
+        elif lay.kind == "softmax":
+            x = softmax_channels(x, out=x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +291,7 @@ def save_weights(model: Model, path) -> None:
 
 def load_weights(path, config: NetworkConfig) -> Model:
     """Load a weight file, validating every record against ``config``."""
-    model = _skeleton(config)
+    model = Model(config, layer_plan(config))
     crc = 0
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
@@ -322,8 +303,7 @@ def load_weights(path, config: NetworkConfig) -> Model:
             tag, kx, ky, kz, cin, cout, nbytes = _REC.unpack(header)
             kind = _TAG_KIND.get(tag)
             shapes = lay.param_shapes()
-            expected = (lay.kind, lay.kernel, lay.cin, lay.cout,
-                        4 * sum(int(np.prod(shape)) for shape in shapes))
+            expected = (lay.kind, lay.kernel, lay.cin, lay.cout, 4 * lay.param_count())
             if (kind, (kx, ky, kz), cin, cout, nbytes) != expected:
                 raise WeightFormatError(
                     f"{path}: layer {i} mismatch: file has kind={kind} kernel={(kx, ky, kz)} "
@@ -336,7 +316,7 @@ def load_weights(path, config: NetworkConfig) -> Model:
             crc = zlib.crc32(payload, crc)
             if shapes:
                 values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-                n = int(np.prod(shapes[0]))
+                n = math.prod(shapes[0])
                 lay.weights = values[:n].reshape(shapes[0])
                 lay.bias = values[n:]
         stored = f.read(4)

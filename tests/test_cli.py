@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ class TestNetInfo:
     def test_task2_reports_four_input_channels(self, capsys):
         assert main(["net-info", "--task", "task2"]) == 0
         assert "first conv in-channels: 4" in capsys.readouterr().out
+
+    def test_counts_from_the_plan_without_building_weights(self, capsys):
+        tracemalloc.start()
+        try:
+            assert main(["net-info"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert "kernel plan 3,3,3,3,1,1): 14034403\n" in out
+        assert "all 3x3x3 kernels): 85599715\n" in out
+        assert peak < 10e6, f"net-info peaked at {peak / 1e6:.1f} MB of traced allocations"
 
     def test_per_layer_lines_present(self, capsys):
         main(["net-info"])
@@ -355,6 +368,21 @@ class TestAugmentPreview:
         log = (out_dir / "augment_log.txt").read_text()
         assert "p=0.1500" in log
         assert "constant baseline" in log
+
+    def test_task2_mask_channels_stay_binary(self, tmp_path):
+        rng = np.random.default_rng(1)
+        data = rng.normal(size=(4, 8, 8, 4)).astype(np.float32)
+        data[2:] = rng.integers(0, 2, size=(2, 8, 8, 4))
+        write_nifti(Volume3D(data, (1, 1, 1)), tmp_path / "vol.nii.gz")
+        write_nifti(LabelMask(rng.integers(0, 3, size=(8, 8, 4)).astype(np.uint8), (1, 1, 1)),
+                    tmp_path / "mask.nii.gz")
+        out_dir = tmp_path / "preview_task2"
+        assert main(["augment-preview", "--task", "task2", "--volume", str(tmp_path / "vol.nii.gz"),
+                     "--mask", str(tmp_path / "mask.nii.gz"), "--constant-p", "1",
+                     "--seed", "2", "--out-dir", str(out_dir)]) == 0
+        out = read_nifti(out_dir / "augmented_volume.nii.gz").data
+        assert not np.array_equal(out[:2], data[:2])  # the scan channels were augmented
+        assert set(np.unique(out[2:])) <= {0.0, 1.0}
 
     def test_fixed_seed_outputs_identical(self, tmp_path):
         vol, mask = self.inputs(tmp_path)

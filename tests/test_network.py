@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import volseg.network as network
 from volseg.network import (
     NetworkConfig,
     WeightFormatError,
@@ -9,6 +10,7 @@ from volseg.network import (
     count_parameters,
     forward,
     instance_norm,
+    layer_plan,
     load_weights,
     max_pool_2x,
     nearest_upsample_2x,
@@ -192,8 +194,19 @@ class TestBuildAndCount:
         assert model.layers[0].cin == 4
 
     def test_skip_plan_covers_all_but_bottleneck(self):
-        model = build_unet(NetworkConfig(), init_seed=0)
-        assert model.skip_plan == {s: s for s in range(1, 6)}
+        cfg = NetworkConfig()
+        stack, pairs = [], []
+        for lay in layer_plan(cfg):
+            if lay.kind == "max_pool":
+                stack.append(lay)
+            elif lay.kind == "upsample":
+                pairs.append((stack.pop(), lay))
+        assert stack == [] and len(pairs) == cfg.num_stages - 1
+        # decoder stage s (deepest first) concatenates encoder stage s's output
+        decoder_widths = [cfg.stage_width(s) for s in range(cfg.num_stages - 1, 0, -1)]
+        assert [pool.cin for pool, _ in pairs] == decoder_widths
+        assert [up.cout for _, up in pairs] == decoder_widths
+        assert cfg.stage_width(cfg.num_stages) not in {pool.cin for pool, _ in pairs}
 
 
 class TestForward:
@@ -221,6 +234,24 @@ class TestForward:
         model = build_unet(TOY, init_seed=10)
         x = np.random.default_rng(11).normal(size=(1, 8, 8, 8)).astype(np.float32)
         np.testing.assert_array_equal(forward(model, x), forward(model, x))
+
+    def test_ops_are_looked_up_in_module_namespace(self, monkeypatch):
+        ops = {"conv": "conv3d", "instance_norm": "instance_norm", "relu": "relu",
+               "max_pool": "max_pool_2x", "upsample": "nearest_upsample_2x",
+               "softmax": "softmax_channels"}
+        calls = dict.fromkeys(ops, 0)
+
+        def counting(kind, op):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return op(*args, **kwargs)
+            return wrapper
+
+        for kind, name in ops.items():
+            monkeypatch.setattr(network, name, counting(kind, getattr(network, name)))
+        model = build_unet(TOY, init_seed=0)
+        forward(model, np.ones((1, 4, 4, 4), np.float32))
+        assert calls == {kind: sum(lay.kind == kind for lay in model.layers) for kind in ops}
 
     def test_shape_errors(self):
         model = build_unet(TOY, init_seed=0)
