@@ -33,6 +33,8 @@ class AugmentationPolicy:
     def __post_init__(self):
         if not 0.0 <= self.p_start <= self.p_end <= 1.0:
             raise ValueError(f"need 0 <= p_start <= p_end <= 1, got {self.p_start}, {self.p_end}")
+        if self.constant_p is not None and not 0.0 <= self.constant_p <= 1.0:  # also rejects NaN
+            raise ValueError(f"need 0 <= constant_p <= 1, got {self.constant_p}")
         if self.step < 1 or self.total_iters < 1:
             raise ValueError("step and total_iters must be >= 1")
         unknown = set(self.transforms) - set(TRANSFORM_NAMES)

@@ -1,7 +1,15 @@
 """Command-line surface: net-info, infer, evaluate, folds, augment-preview.
 
 Configuration comes from an optional flat key-value file (one dotted key
-per line, ``inference.stride = 80,80,16``) plus command-line overrides.
+per line, ``inference.stride = 80,80,16``), then from flags: file values
+are applied first, then flags, and an empty value means the key's default.
+Each config flag's argparse dest is its dotted key in ``_KEYS``:
+``--task`` task, ``--seed`` seed, ``--weights`` weights, ``--kernel-plan``
+network.kernel_plan, ``--base-width`` network.base_width, ``--weighting``
+inference.weighting, ``--constant-p`` augmentation.constant_p, ``--total``
+augmentation.total_iters. The task sets what no key sets: task1 has 1
+input channel; task2 has 4, of which channels 2 and 3 (the prior masks)
+are exempt from normalization and intensity augmentation.
 Exit codes: 0 success, 1 usage error, 2 data/processing error.
 """
 
@@ -38,34 +46,16 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in str(text).split(","))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
     task: str = "task1"
     seed: int = 0
     working_spacing: tuple[float, float, float] = (0.5, 0.5, 2.0)
     weights: list[str] = field(default_factory=list)
-    network: NetworkConfig = None
-    window: SlidingWindowConfig = None
-    policy: AugmentationPolicy = None
-    params: TransformParams = None
-
-    def __post_init__(self):
-        if self.task not in ("task1", "task2"):
-            raise ValueError(f"task must be task1 or task2, got {self.task!r}")
-        in_channels = 4 if self.task == "task2" else 1
-        if self.network is None:
-            self.network = NetworkConfig(in_channels=in_channels)
-        elif self.network.in_channels != in_channels:
-            self.network = replace(self.network, in_channels=in_channels)
-        exempt = TASK2_EXEMPT_CHANNELS if self.task == "task2" else frozenset()
-        if self.window is None:
-            self.window = SlidingWindowConfig(exempt_channels=exempt)
-        else:
-            self.window = replace(self.window, exempt_channels=exempt)
-        if self.policy is None:
-            self.policy = AugmentationPolicy()
-        if self.params is None:
-            self.params = TransformParams()
+    network: NetworkConfig
+    window: SlidingWindowConfig
+    policy: AugmentationPolicy
+    params: TransformParams
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -82,89 +72,79 @@ def load_config_file(path) -> dict[str, str]:
     return entries
 
 
-_NETWORK_KEYS = {
-    "network.base_width": ("base_width", int),
-    "network.num_stages": ("num_stages", int),
-    "network.kernel_plan": ("kernel_plan", _ints),
-    "network.convs_per_stage": ("convs_per_stage", int),
-}
-_WINDOW_KEYS = {
-    "inference.patch_size": ("patch_size", _ints),
-    "inference.stride": ("stride", _ints),
-    "inference.weighting": ("weighting", str),
-    "inference.gaussian_edge_value": ("gaussian_edge_value", float),
-}
-_POLICY_KEYS = {
-    "augmentation.p_start": ("p_start", float),
-    "augmentation.p_end": ("p_end", float),
-    "augmentation.total_iters": ("total_iters", int),
-    "augmentation.step": ("step", int),
-    "augmentation.constant_p": ("constant_p", float),
-    "augmentation.transforms": ("transforms", lambda v: tuple(s.strip() for s in v.split(","))),
-}
-_PARAMS_KEYS = {
-    "augmentation.mirror_axes": ("mirror_axes", _ints),
-    "augmentation.max_rotation_deg": ("max_rotation_deg", float),
-    "augmentation.contrast_range": ("contrast_range", _floats),
-    "augmentation.bias_order": ("bias_order", int),
-    "augmentation.bias_amplitude": ("bias_amplitude", _floats),
-    "augmentation.noise_sigma": ("noise_sigma", _floats),
-    "augmentation.motion_shift": ("motion_shift", _ints),
-    "augmentation.motion_weight": ("motion_weight", _floats),
-}
+def _task(text: str) -> str:
+    if text not in ("task1", "task2"):
+        raise ValueError(f"task must be task1 or task2, got {text!r}")
+    return text
 
 
-def _fill(cls, entries: dict[str, str], key_table: dict):
-    kwargs = {}
-    for key, (attr, conv) in key_table.items():
-        if key in entries:
-            kwargs[attr] = conv(entries.pop(key))
-    return cls(**kwargs) if kwargs else None
+def _names(value) -> list[str]:
+    # a comma-separated file value, or the list a repeated flag collects
+    if isinstance(value, str):
+        return [v.strip() for v in value.split(",") if v.strip()]
+    return list(value)
 
 
-def build_run_config(config_path=None, **overrides) -> RunConfig:
-    """Assemble a RunConfig from a config file plus CLI overrides."""
+# dotted key -> (section, field, parser); section None is RunConfig itself
+_KEYS = {
+    "task": (None, "task", _task),
+    "seed": (None, "seed", int),
+    "weights": (None, "weights", _names),
+    "volume.working_spacing": (None, "working_spacing", _floats),
+    "network.base_width": ("network", "base_width", int),
+    "network.num_stages": ("network", "num_stages", int),
+    "network.kernel_plan": ("network", "kernel_plan", _ints),
+    "network.convs_per_stage": ("network", "convs_per_stage", int),
+    "inference.patch_size": ("window", "patch_size", _ints),
+    "inference.stride": ("window", "stride", _ints),
+    "inference.weighting": ("window", "weighting", str),
+    "inference.gaussian_edge_value": ("window", "gaussian_edge_value", float),
+    "augmentation.p_start": ("policy", "p_start", float),
+    "augmentation.p_end": ("policy", "p_end", float),
+    "augmentation.total_iters": ("policy", "total_iters", int),
+    "augmentation.step": ("policy", "step", int),
+    "augmentation.constant_p": ("policy", "constant_p", float),
+    "augmentation.transforms": ("policy", "transforms", lambda v: tuple(s.strip() for s in v.split(","))),
+    "augmentation.mirror_axes": ("params", "mirror_axes", _ints),
+    "augmentation.max_rotation_deg": ("params", "max_rotation_deg", float),
+    "augmentation.contrast_range": ("params", "contrast_range", _floats),
+    "augmentation.bias_order": ("params", "bias_order", int),
+    "augmentation.bias_amplitude": ("params", "bias_amplitude", _floats),
+    "augmentation.noise_sigma": ("params", "noise_sigma", _floats),
+    "augmentation.motion_shift": ("params", "motion_shift", _ints),
+    "augmentation.motion_weight": ("params", "motion_weight", _floats),
+}
+_SECTIONS = {"network": NetworkConfig, "window": SlidingWindowConfig,
+             "policy": AugmentationPolicy, "params": TransformParams}
+
+
+def build_run_config(config_path=None, overrides=None) -> RunConfig:
+    """Assemble a RunConfig from defaults, then file values, then ``overrides``.
+
+    ``overrides`` maps dotted keys to flag values; a ``None`` value is unset.
+    """
     entries = load_config_file(config_path) if config_path else {}
+    entries.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    unknown = set(entries) - set(_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    # command-line values win over file values, which win over defaults
-    file_task = entries.pop("task", None)
-    task = overrides.pop("task", None) or file_task or "task1"
-    file_seed = entries.pop("seed", None)
-    seed = overrides.pop("seed", None)
-    if seed is None:
-        seed = int(file_seed) if file_seed is not None else 0
-    spacing = entries.pop("volume.working_spacing", None)
-    spacing = _floats(spacing) if spacing else (0.5, 0.5, 2.0)
-    file_weights = entries.pop("weights", None)
-    weights = list(overrides.pop("weights", None) or [])
-    if not weights and file_weights:
-        weights = [w.strip() for w in file_weights.split(",") if w.strip()]
+    kwargs = {section: {} for section in (None, *_SECTIONS)}
+    for key, value in entries.items():
+        if value == "":
+            continue  # an empty value means the default
+        section, name, parse = _KEYS[key]
+        try:
+            kwargs[section][name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
 
-    network = _fill(NetworkConfig, entries, _NETWORK_KEYS)
-    window = _fill(SlidingWindowConfig, entries, _WINDOW_KEYS)
-    policy = _fill(AugmentationPolicy, entries, _POLICY_KEYS)
-    params = _fill(TransformParams, entries, _PARAMS_KEYS)
-
-    if entries:
-        raise ValueError(f"unknown config keys: {sorted(entries)}")
-
-    cfg = RunConfig(task=task, seed=int(seed), working_spacing=spacing,
-                    weights=weights, network=network, window=window,
-                    policy=policy, params=params)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key == "weighting":
-            cfg.window = replace(cfg.window, weighting=value)
-        elif key == "constant_p":
-            cfg.policy = replace(cfg.policy, constant_p=value)
-        elif key == "kernel_plan":
-            cfg.network = replace(cfg.network, kernel_plan=_ints(value))
-        elif key == "base_width":
-            cfg.network = replace(cfg.network, base_width=int(value))
-        else:
-            raise ValueError(f"unknown override {key!r}")
-    return cfg
+    # the task sets the first conv's input channels and the mask channels
+    # that normalization and augmentation leave alone
+    task2 = kwargs[None].get("task") == "task2"
+    kwargs["network"]["in_channels"] = 4 if task2 else 1
+    kwargs["window"]["exempt_channels"] = TASK2_EXEMPT_CHANNELS if task2 else frozenset()
+    return RunConfig(**kwargs[None], **{section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +174,7 @@ def cmd_net_info(cfg: RunConfig, out=None) -> int:
 
 def _load_channels(cfg: RunConfig, input_paths):
     """Read and resample the per-channel inputs; returns (stacked, reference)."""
-    expected = 4 if cfg.task == "task2" else 1
+    expected = cfg.network.in_channels
     if len(input_paths) != expected:
         raise ValueError(f"{cfg.task} takes {expected} input path(s), got {len(input_paths)}")
     reference = None
@@ -385,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("net-info", help="print layer shapes and parameter totals")
     _add_config_args(p)
-    p.add_argument("--kernel-plan", help="comma-separated per-stage kernel sizes")
-    p.add_argument("--base-width", type=int)
+    p.add_argument("--kernel-plan", dest="network.kernel_plan", help="comma-separated per-stage kernel sizes")
+    p.add_argument("--base-width", dest="network.base_width", type=int)
 
     p = sub.add_parser("infer", help="segment a scan with one or more weight files")
     _add_config_args(p)
     p.add_argument("--weights", action="append", default=None, help="weight file (repeatable)")
-    p.add_argument("--weighting", choices=["equal", "gaussian"])
+    p.add_argument("--weighting", dest="inference.weighting", choices=["equal", "gaussian"])
     p.add_argument("--output", required=True)
     p.add_argument("inputs", nargs="+", help="input NIfTI path(s): 1 for task1, 4 for task2")
 
@@ -410,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--volume", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--iter", type=int, default=0, dest="iteration")
-    p.add_argument("--total", type=int, help="override augmentation.total_iters")
-    p.add_argument("--constant-p", type=float, dest="constant_p")
+    p.add_argument("--total", dest="augmentation.total_iters", type=int)
+    p.add_argument("--constant-p", dest="augmentation.constant_p", type=float)
     p.add_argument("--out-dir", required=True)
     return parser
 
@@ -419,28 +399,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "net-info":
-            cfg = build_run_config(args.config, task=args.task, seed=args.seed,
-                                   kernel_plan=args.kernel_plan, base_width=args.base_width)
-            return cmd_net_info(cfg)
-        if args.command == "infer":
-            cfg = build_run_config(args.config, task=args.task, seed=args.seed,
-                                   weights=args.weights, weighting=args.weighting)
-            return cmd_infer(cfg, args.inputs, args.output)
         if args.command == "evaluate":
             return cmd_evaluate(args.truth_dir, args.pred_dir, args.csv)
         if args.command == "folds":
             return cmd_folds(args.ids_file, args.seed, args.output)
+        # every config-changing flag's dest is its dotted key
+        cfg = build_run_config(args.config, {k: v for k, v in vars(args).items() if k in _KEYS})
+        if args.command == "net-info":
+            return cmd_net_info(cfg)
+        if args.command == "infer":
+            return cmd_infer(cfg, args.inputs, args.output)
         if args.command == "augment-preview":
-            cfg = build_run_config(args.config, task=args.task, seed=args.seed,
-                                   constant_p=args.constant_p)
-            if args.total is not None:
-                cfg.policy = replace(cfg.policy, total_iters=args.total)
             return cmd_augment_preview(cfg, args.volume, args.mask, args.iteration, args.out_dir)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")

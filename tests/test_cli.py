@@ -1,18 +1,22 @@
+import argparse
 import csv
 import hashlib
 import re
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from volseg.cli import build_run_config, main
+from volseg.cli import _KEYS, build_parser, build_run_config, load_config_file, main
 from volseg.network import NetworkConfig, build_unet, save_weights
 from volseg.nifti import read_nifti, write_nifti
 from volseg.volume import LabelMask, Volume3D
 
 from oracles import overlap_counts
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 TOY_NET = ["network.base_width = 2", "network.num_stages = 2", "network.kernel_plan = 3,3"]
 
 
@@ -67,15 +71,59 @@ class TestConfigFile:
 
     def test_cli_overrides_win(self, tmp_path):
         path = write_config(tmp_path, ["inference.weighting = equal"])
-        cfg = build_run_config(path, weighting="gaussian")
+        cfg = build_run_config(path, {"inference.weighting": "gaussian"})
         assert cfg.window.weighting == "gaussian"
 
     def test_flag_and_file_may_both_set_a_key(self, tmp_path):
         path = write_config(tmp_path, ["task = task1", "seed = 3", "weights = a.vskw"])
-        cfg = build_run_config(path, task="task2", seed=9, weights=["b.vskw"])
+        cfg = build_run_config(path, {"task": "task2", "seed": 9, "weights": ["b.vskw"]})
         assert cfg.task == "task2"
         assert cfg.seed == 9
         assert cfg.weights == ["b.vskw"]
+        # the flag's task, not the file's, sets the input and exempt channels
+        assert cfg.network.in_channels == 4
+        assert cfg.window.exempt_channels == frozenset({2, 3})
+
+    def test_unset_override_keeps_file_value(self, tmp_path):
+        path = write_config(tmp_path, ["seed = 3", "augmentation.total_iters = 1000"])
+        cfg = build_run_config(path, {"seed": None, "augmentation.total_iters": None})
+        assert cfg.seed == 3
+        assert cfg.policy.total_iters == 1000
+
+    def test_empty_value_means_default_for_every_key(self, tmp_path):
+        path = write_config(tmp_path, [f"{key} =" for key in _KEYS])
+        assert build_run_config(path) == build_run_config(None)
+
+    def test_readme_config_block_builds_to_the_defaults(self, tmp_path):
+        text = README.read_text()
+        block = text[text.index("Keys and defaults:"):].split("```")[1]
+        path = write_config(tmp_path, block.splitlines())
+        assert replace(build_run_config(path), weights=[]) == build_run_config(None)
+        assert set(load_config_file(path)) == set(_KEYS)
+
+    def test_bad_value_names_its_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, ["network.base_width = abc"])
+        assert main(["net-info", "--config", path]) == 2
+        assert "network.base_width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5"])
+    def test_constant_p_outside_unit_interval_rejected(self, tmp_path, value):
+        path = write_config(tmp_path, [f"augmentation.constant_p = {value}"])
+        with pytest.raises(ValueError, match="constant_p"):
+            build_run_config(path)
+
+    def test_every_config_flag_dest_is_a_key(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        checked = set()
+        for command, sub in subparsers.choices.items():
+            dests = {a.dest for a in sub._actions}
+            if "config" not in dests:
+                continue
+            config_dests = {d for d in dests if "." in d or d in ("task", "seed", "weights")}
+            assert config_dests <= set(_KEYS), command
+            checked |= config_dests
+        assert {"task", "seed", "weights", "network.kernel_plan", "network.base_width",
+                "inference.weighting", "augmentation.constant_p", "augmentation.total_iters"} == checked
 
 
 class TestNetInfo:
@@ -383,6 +431,27 @@ class TestAugmentPreview:
         out = read_nifti(out_dir / "augmented_volume.nii.gz").data
         assert not np.array_equal(out[:2], data[:2])  # the scan channels were augmented
         assert set(np.unique(out[2:])) <= {0.0, 1.0}
+
+    def test_total_flag_overrides_file_total(self, tmp_path):
+        vol, mask = self.inputs(tmp_path)
+        cfg = write_config(tmp_path, ["augmentation.total_iters = 1000", "augmentation.step = 10"])
+        out_dir = tmp_path / "preview_total"
+        assert main(["augment-preview", "--config", cfg, "--volume", vol, "--mask", mask,
+                     "--total", "100", "--iter", "50", "--out-dir", str(out_dir)]) == 0
+        # the ramp at 50 of 100 iterations, not at 50 of the file's 1000 (p=0.0600)
+        assert "p=0.1500 (scheduled)" in (out_dir / "augment_log.txt").read_text()
+
+    def test_iter_beyond_total_is_augment_error(self, tmp_path, capsys):
+        vol, mask = self.inputs(tmp_path)
+        assert main(["augment-preview", "--volume", vol, "--mask", mask, "--total", "100",
+                     "--iter", "150", "--out-dir", str(tmp_path / "preview")]) == 2
+        assert "augment:" in capsys.readouterr().err
+
+    def test_constant_p_above_one_is_data_error(self, tmp_path, capsys):
+        vol, mask = self.inputs(tmp_path)
+        assert main(["augment-preview", "--volume", vol, "--mask", mask, "--constant-p", "1.5",
+                     "--out-dir", str(tmp_path / "preview")]) == 2
+        assert "constant_p" in capsys.readouterr().err
 
     def test_fixed_seed_outputs_identical(self, tmp_path):
         vol, mask = self.inputs(tmp_path)
