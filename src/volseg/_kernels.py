@@ -1,27 +1,38 @@
 """Hot numeric kernels: 3D convolution and trilinear sampling, in numpy.
 
-The convolution is an im2col matrix product (Chellapilla et al. 2006): the
-kernel windows of a slab of X planes are unrolled into the columns of one
-contiguous buffer, and a single float32 GEMM against the flattened weights
-produces that slab's outputs. Trilinear sampling is separable: one 1-D
-linear interpolation per axis, in float64.
+The convolution is an im2col matrix product (Chellapilla et al. 2006). A
+kernel larger than 1x1x1 reads a zero-padded channels-last input, so each
+voxel's window is 9 contiguous runs of ``kz * cin`` floats; the windows of
+a few X planes are copied into the rows of one buffer, and a float32 GEMM
+``columns (voxels, k^3 * cin) @ W (k^3 * cin, cout)`` writes those planes'
+outputs channels-last. A 1x1x1 kernel needs no copy: ``W @ X`` on the input
+as it is, which gives a channels-first output. Trilinear sampling is
+separable: one 1-D linear interpolation per axis, in float64.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-# Size of the im2col buffer for one chunk of X planes. It bounds the extra
-# memory a conv needs beyond its input and output (a whole-volume im2col of
-# the paper's 320x320x64 patch would take ~22 GB). A chunk holds at least
-# one X plane, whatever its size.
+# Rows of one GEMM: whole X planes, about this many bytes of columns and at
+# least one plane. The rule reads only the conv's shape, so every copy
+# budget issues the same GEMM calls and the output does not depend on it
+# (BLAS may round a matrix's rows differently for different row counts).
+_GEMM_BLOCK_BYTES = 4 << 20
+# Size of the im2col copy buffer: as many whole GEMM blocks as fit, and at
+# least one. It bounds the extra memory a conv needs beyond its input and
+# output (a whole-volume im2col of the paper's 320x320x64 patch would take
+# ~22 GB).
 _IM2COL_CHUNK_BYTES = 8 << 20
 
 
 # ---------------------------------------------------------------------------
 # 3D cross-correlation on an already zero-padded input.
-# padded: (Cin, X+kx-1, Y+ky-1, Z+kz-1) float32
-# weights: (Cout, Cin, kx, ky, kz) float32
-# returns: (Cout, X, Y, Z) float32
+# padded: (Cin, X+kx-1, Y+ky-1, Z+kz-1) float32, any memory order; it is
+#   read without a copy when stored channels-last, (X', Y', Z', Cin).
+# weights: (Cout, Cin, kx, ky, kz) float32, any memory order; read without a
+#   copy when stored as (Cout, kx, ky, kz, Cin).
+# returns: (Cout, X, Y, Z) float32, stored channels-last unless the kernel
+#   is 1x1x1.
 # ---------------------------------------------------------------------------
 
 def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -29,33 +40,46 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     xs = padded.shape[1] - kx + 1
     ys = padded.shape[2] - ky + 1
     zs = padded.shape[3] - kz + 1
-    w2d = weights.reshape(cout, -1)
     if (kx, ky, kz) == (1, 1, 1):
-        # pointwise: the input already is the column matrix. With one input
-        # channel the product has a single term, so an outer product gives
-        # the GEMM's result bit for bit without the K = 1 GEMM overhead.
+        # pointwise: the input already is the column matrix (a transposed
+        # operand when it is channels-last). With one input channel the
+        # product has a single term, so an outer product gives the GEMM's
+        # result bit for bit without the K = 1 GEMM overhead.
+        w2d = weights.reshape(cout, cin)
         cols = padded.reshape(cin, -1)
         out2d = np.multiply(w2d, cols) if cin == 1 else w2d @ cols
         return out2d.reshape(cout, xs, ys, zs)
 
-    # (Cin, X, Y, Z, kx, ky, kz) view of every kernel window, no copy
-    windows = sliding_window_view(padded, (kx, ky, kz), axis=(1, 2, 3))
-    rows = w2d.shape[1]
+    halo = np.ascontiguousarray(padded.transpose(1, 2, 3, 0))
+    # (X, Y, Z, kx, ky, kz * Cin) view of every kernel window, no copy: the
+    # innermost run covers the window's dz and channel axes at once. Strides
+    # come from the shape; numpy may report any stride for an axis of size 1.
+    sc = halo.itemsize
+    sz = cin * sc
+    sy = halo.shape[2] * sz
+    sx = halo.shape[1] * sy
+    windows = as_strided(halo, (xs, ys, zs, kx, ky, kz * cin), (sx, sy, sz, sx, sy, sc),
+                         writeable=False)
+    # rows ordered (dx, dy, dz, cin) to match the columns
+    w2d = weights.transpose(2, 3, 4, 1, 0).reshape(-1, cout)
+    rows = w2d.shape[0]
     plane = ys * zs
-    planes_per_chunk = min(xs, max(1, _IM2COL_CHUNK_BYTES // (4 * rows * plane)))
-    buf = np.empty(rows * planes_per_chunk * plane, dtype=np.float32)
-    out = np.empty((cout, xs, ys, zs), dtype=np.float32)
-    out2d = out.reshape(cout, xs * plane)
-    for x0 in range(0, xs, planes_per_chunk):
-        n = min(planes_per_chunk, xs - x0)
-        cols = buf[:rows * n * plane]
-        # rows ordered (cin, dx, dy, dz) to match w2d; columns (x, y, z)
-        np.copyto(
-            cols.reshape(cin, kx, ky, kz, n, ys, zs),
-            windows[:, x0:x0 + n].transpose(0, 4, 5, 6, 1, 2, 3),
-        )
-        np.matmul(w2d, cols.reshape(rows, n * plane), out=out2d[:, x0 * plane:(x0 + n) * plane])
-    return out
+    gemm_planes = min(xs, max(1, _GEMM_BLOCK_BYTES // (4 * rows * plane)))
+    chunk_planes = gemm_planes * max(1, _IM2COL_CHUNK_BYTES // (4 * rows * plane * gemm_planes))
+    chunk_planes = min(xs, chunk_planes)
+    buf = np.empty(chunk_planes * plane * rows, dtype=np.float32)
+    out = np.empty((xs, ys, zs, cout), dtype=np.float32)
+    out2d = out.reshape(xs * plane, cout)
+    for x0 in range(0, xs, chunk_planes):
+        n = min(chunk_planes, xs - x0)
+        cols = buf[:n * plane * rows]
+        np.copyto(cols.reshape(n, ys, zs, kx, ky, kz * cin), windows[x0:x0 + n])
+        cols = cols.reshape(n * plane, rows)
+        for g0 in range(0, n, gemm_planes):
+            g1 = min(n, g0 + gemm_planes)
+            np.matmul(cols[g0 * plane:g1 * plane], w2d,
+                      out=out2d[(x0 + g0) * plane:(x0 + g1) * plane])
+    return out.transpose(3, 0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

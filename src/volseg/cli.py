@@ -17,6 +17,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -58,17 +59,26 @@ class RunConfig:
     params: TransformParams
 
 
+# a comment is a '#' that starts the line or follows whitespace, so a value
+# may contain '#' (weights = /data/run#1/fold0.vskw)
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def load_config_file(path) -> dict[str, str]:
     entries = {}
+    first_line = {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.split(line, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line {first_line[key]}")
+            first_line[key] = lineno
+            entries[key] = value
     return entries
 
 

@@ -17,6 +17,18 @@ fill in the parameters, ``volseg net-info`` counts them from the plan's
 shapes, and ``forward`` interprets the list one layer at a time. Skips are
 a stack: each max pool pushes its input, and each upsample pops the
 innermost skip and concatenates it after the upsampled features.
+
+Memory order is chosen by kernel size; logical shapes never change. A conv
+with a kernel larger than 1x1x1 copies its input into a channels-last
+buffer with a zero halo and returns its output channels-last: an array of
+shape (C, X, Y, Z) whose memory is (X, Y, Z, C), ``out.transpose(3, 0, 1,
+2)`` of a C-contiguous array. A 1x1x1 conv reads either order and returns
+channels-first. Instance norm, ReLU, pooling, upsampling, concatenation and
+softmax keep the memory order they are given, so the network's output,
+whose last conv is 1x1x1, is channels-first. ``load_weights`` stores each
+conv weight with a kernel larger than 1x1x1 in memory order (cout, kx, ky,
+kz, cin), the kernel's GEMM operand without a copy; ``weights.shape`` stays
+(cout, cin, kx, ky, kz).
 """
 
 import math
@@ -76,7 +88,7 @@ class Layer:
     kernel: tuple[int, int, int] = (0, 0, 0)
     cin: int = 0
     cout: int = 0
-    weights: np.ndarray | None = None  # conv: (cout, cin, kx, ky, kz); norm: gamma (c,)
+    weights: np.ndarray | None = None  # conv: (cout, cin, kx, ky, kz), any memory order; norm: gamma (c,)
     bias: np.ndarray | None = None     # conv: (cout,); norm: beta (c,)
 
     def param_shapes(self) -> tuple[tuple[int, ...], ...]:
@@ -155,7 +167,11 @@ def count_parameters(model: Model) -> int:
 # ---------------------------------------------------------------------------
 
 def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray) -> Tensor4D:
-    """Zero-padded cross-correlation preserving spatial dims."""
+    """Zero-padded cross-correlation preserving spatial dims.
+
+    A kernel larger than 1x1x1 returns its output channels-last (see the
+    module docstring); a 1x1x1 kernel returns it channels-first.
+    """
     cout, cin, kx, ky, kz = weights.shape
     if any(k % 2 == 0 for k in (kx, ky, kz)):
         raise ValueError("kernel edges must be odd")
@@ -165,11 +181,31 @@ def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray) -> Tensor4D:
         raise ValueError(f"bias shape {bias.shape} does not match {cout} output channels")
     px, py, pz = kx // 2, ky // 2, kz // 2
     x = x.astype(np.float32, copy=False)
-    if px or py or pz:  # a zero-width np.pad still copies
-        x = np.pad(x, ((0, 0), (px, px), (py, py), (pz, pz)))
+    if px or py or pz:
+        # the input, channels-last, inside a zero halo of the kernel's reach
+        _, xs, ys, zs = x.shape
+        halo = np.zeros((xs + 2 * px, ys + 2 * py, zs + 2 * pz, cin), dtype=np.float32)
+        halo[px:px + xs, py:py + ys, pz:pz + zs] = x.transpose(1, 2, 3, 0)
+        x = halo.transpose(3, 0, 1, 2)
     out = conv3d_core(x, weights.astype(np.float32, copy=False))
     out += bias[:, None, None, None]
     return out
+
+
+def _channel_rows(x: Tensor4D):
+    """``x`` as a 2-D view in its memory order, or None for other orders.
+
+    Returns the view and ``reps``: channels-first is (C, voxels), one row
+    per channel (``reps`` 0); channels-last is (X*Y, Z*C), each row ``reps``
+    = Z runs of the C channels.
+    """
+    c, xs, ys, zs = x.shape
+    if x.flags.c_contiguous:
+        return x.reshape(c, -1), 0
+    last = x.transpose(1, 2, 3, 0)
+    if last.flags.c_contiguous:
+        return last.reshape(xs * ys, zs * c), zs
+    return None, None
 
 
 def instance_norm(x: Tensor4D, gamma: np.ndarray, beta: np.ndarray,
@@ -179,21 +215,37 @@ def instance_norm(x: Tensor4D, gamma: np.ndarray, beta: np.ndarray,
     ``out`` may be ``x`` itself. The float32 residual ``x - mean`` is
     written into ``out`` and its statistics are summed in float64, so a
     channel far from zero keeps its precision and no float64 array of
-    the activation's size is made.
+    the activation's size is made. Every pass runs over ``x``'s memory in
+    order, channels-first or channels-last, and ``out`` keeps that order.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = x[0].size
-    mean = np.einsum("cxyz->c", x, dtype=np.float64) / n
     if out is None:
         out = np.empty_like(x)
-    np.subtract(x, mean.astype(np.float32)[:, None, None, None], out=out)
-    # residual mean left by rounding ``mean`` to float32, and the variance
-    rmean = np.einsum("cxyz->c", out, dtype=np.float64) / n
-    var = np.einsum("cxyz,cxyz->c", out, out, dtype=np.float64) / n - rmean * rmean
+    (xm, reps), (om, out_reps) = _channel_rows(x), _channel_rows(out)
+    if xm is None or reps != out_reps:
+        out[...] = instance_norm(np.ascontiguousarray(x), gamma, beta, eps)
+        return out
+    c = x.shape[0]
+    n = x[0].size
+    sums, sq = ("cn->c", "cn,cn->c") if reps == 0 else ("nk->k", "nk,nk->k")
+
+    def per_channel(row_sums):  # float64 sums over the rows -> one per channel
+        return row_sums.reshape(reps, c).sum(axis=0) if reps else row_sums
+
+    def spread(values):  # per-channel float32 values laid out like a row or column
+        values = values.astype(np.float32)
+        return np.tile(values, reps) if reps else values[:, None]
+
+    mean = per_channel(np.einsum(sums, xm, dtype=np.float64)) / n
+    mean32 = mean.astype(np.float32)
+    np.subtract(xm, spread(mean32), out=om)
+    # the residual's mean is what rounding ``mean`` to float32 left over
+    rmean = mean - mean32
+    var = per_channel(np.einsum(sq, om, om, dtype=np.float64)) / n - rmean * rmean
     inv = gamma / np.sqrt(var + eps)
-    out *= inv.astype(np.float32)[:, None, None, None]
-    out += (beta - rmean * inv).astype(np.float32)[:, None, None, None]
+    om *= spread(inv)
+    om += spread(beta - rmean * inv)
     return out
 
 
@@ -210,8 +262,16 @@ def max_pool_2x(x: Tensor4D) -> Tensor4D:
     return np.maximum(x[:, :, :, 0::2], x[:, :, :, 1::2])
 
 
-def nearest_upsample_2x(x: Tensor4D) -> Tensor4D:
-    return np.repeat(np.repeat(np.repeat(x, 2, axis=1), 2, axis=2), 2, axis=3)
+def nearest_upsample_2x(x: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
+    """Repeat each voxel 2x2x2 into ``out``, of any memory order (default: x's)."""
+    c, xs, ys, zs = x.shape
+    if out is None:
+        out = np.empty_like(x, shape=(c, 2 * xs, 2 * ys, 2 * zs))
+    if out.flags.c_contiguous:  # write whole doubled Z rows
+        out.reshape(c, xs, 2, ys, 2, 2 * zs)[...] = np.repeat(x, 2, axis=3)[:, :, None, :, None]
+    else:  # channels-last: write whole channel runs
+        out.reshape(c, xs, 2, ys, 2, zs, 2)[...] = x[:, :, None, :, None, :, None]
+    return out
 
 
 def softmax_channels(x: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
@@ -220,6 +280,19 @@ def softmax_channels(x: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
     np.exp(e, out=e)
     e /= e.sum(axis=0, keepdims=True)
     return e
+
+
+def _upsample_concat(x: Tensor4D, skip: Tensor4D) -> Tensor4D:
+    """[upsampled x, skip] along channels, in the skip's memory order.
+
+    The upsample writes its half in place, so a channels-first ``x`` meets
+    a channels-last skip without a transposing copy of the whole result.
+    """
+    c = x.shape[0]
+    out = np.empty_like(skip, shape=(c + skip.shape[0], *skip.shape[1:]))
+    nearest_upsample_2x(x, out=out[:c])
+    out[c:] = skip
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +325,7 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
             skips.append(x)
             x = max_pool_2x(x)
         elif lay.kind == "upsample":
-            x = np.concatenate([nearest_upsample_2x(x), skips.pop()], axis=0)
+            x = _upsample_concat(x, skips.pop())
         elif lay.kind == "softmax":
             x = softmax_channels(x, out=x)
     return x
@@ -315,10 +388,17 @@ def load_weights(path, config: NetworkConfig) -> Model:
                 raise WeightFormatError(f"{path}: layer {i} truncated (payload)")
             crc = zlib.crc32(payload, crc)
             if shapes:
-                values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
                 n = math.prod(shapes[0])
-                lay.weights = values[:n].reshape(shapes[0])
-                lay.bias = values[n:]
+                values = np.frombuffer(payload, dtype="<f4", count=n)
+                if lay.kind == "conv" and lay.kernel != (1, 1, 1):
+                    # memory order (cout, kx, ky, kz, cin), logical shape unchanged
+                    values = values.reshape(lay.cout, lay.cin, -1).transpose(0, 2, 1)
+                    values = np.ascontiguousarray(values, dtype=np.float32)
+                    lay.weights = values.reshape(lay.cout, *lay.kernel, lay.cin).transpose(0, 4, 1, 2, 3)
+                else:
+                    lay.weights = values.astype(np.float32).reshape(shapes[0])
+                # an own copy: a view would keep the whole payload alive
+                lay.bias = np.frombuffer(payload, dtype="<f4", offset=4 * n).astype(np.float32)
         stored = f.read(4)
         if len(stored) < 4:
             raise WeightFormatError(f"{path}: missing CRC32 trailer")

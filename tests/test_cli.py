@@ -1,7 +1,10 @@
 import argparse
 import csv
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import volseg
 from volseg.cli import _KEYS, build_parser, build_run_config, load_config_file, main
 from volseg.network import NetworkConfig, build_unet, save_weights
 from volseg.nifti import read_nifti, write_nifti
@@ -101,6 +105,29 @@ class TestConfigFile:
         assert replace(build_run_config(path), weights=[]) == build_run_config(None)
         assert set(load_config_file(path)) == set(_KEYS)
 
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
+        lines = [
+            "weights = /data/run#1/fold0.vskw,/data/run#2/fold0.vskw  # two folds",
+            "  # an indented comment",
+            "seed = 4\t# after a tab",
+        ]
+        path = write_config(tmp_path, lines + ["task = task1#"])
+        assert load_config_file(path) == {
+            "weights": "/data/run#1/fold0.vskw,/data/run#2/fold0.vskw",
+            "seed": "4",
+            "task": "task1#",
+        }
+        cfg = build_run_config(write_config(tmp_path, lines))
+        assert cfg.weights == ["/data/run#1/fold0.vskw", "/data/run#2/fold0.vskw"]
+        assert cfg.seed == 4
+
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        path = write_config(tmp_path, ["seed = 1", "task = task1", "# seed = 3", "seed = 2"])
+        with pytest.raises(ValueError, match=r"run\.cfg:4: key 'seed' is already set on line 1"):
+            load_config_file(path)
+        assert main(["net-info", "--config", path]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
     def test_bad_value_names_its_key(self, tmp_path, capsys):
         path = write_config(tmp_path, ["network.base_width = abc"])
         assert main(["net-info", "--config", path]) == 2
@@ -156,6 +183,15 @@ class TestNetInfo:
         assert "kernel plan 3,3,3,3,1,1): 14034403\n" in out
         assert "all 3x3x3 kernels): 85599715\n" in out
         assert peak < 10e6, f"net-info peaked at {peak / 1e6:.1f} MB of traced allocations"
+
+    # sha256 of the text printed before conv weights were stored channels-last
+    @pytest.mark.parametrize("args,digest", [
+        ([], "9f6ed0ddfc5b2a781b5ca3c8933a24ce06d3d72b758f37546ff99983e664875c"),
+        (["--task", "task2"], "3950035a0da0aa973919742a9aba9dfd522f48a47bdf455007cb1934b13fed1b"),
+    ])
+    def test_text_unchanged(self, capsys, args, digest):
+        assert main(["net-info", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_per_layer_lines_present(self, capsys):
         main(["net-info"])
@@ -321,6 +357,27 @@ class TestInfer:
         assert main(["infer", "--config", cfg, "--weights", w, "--weights", w,
                      "--output", str(out2), scan]) == 0
         assert hashlib.sha256(out2.read_bytes()).hexdigest() == digests[0]
+
+    def test_output_independent_of_blas_thread_count(self, tmp_path):
+        # the default network on one 32^3 tile, with 1 and 2 BLAS threads
+        rng = np.random.default_rng(8)
+        scan = tmp_path / "scan.nii.gz"
+        write_nifti(Volume3D(rng.normal(size=(1, 32, 32, 32)).astype(np.float32), (1.0, 1.0, 1.0)), scan)
+        weights = tmp_path / "default.vskw"
+        save_weights(build_unet(NetworkConfig(), init_seed=9), weights)
+        cfg = write_config(tmp_path, ["volume.working_spacing = 1,1,1",
+                                      "inference.patch_size = 32,32,32", "inference.stride = 32,32,32"])
+        src = str(Path(volseg.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"labels_{threads}.nii.gz"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "volseg.cli", "infer", "--config", cfg,
+                            "--weights", str(weights), "--output", str(out), str(scan)],
+                           env=env, check=True, timeout=300, capture_output=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_output_restored_to_input_grid(self, tmp_path):
         rng = np.random.default_rng(5)

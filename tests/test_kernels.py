@@ -57,6 +57,55 @@ class TestConv3dCore:
         chunked = conv3d_core(padded, weights)
         np.testing.assert_array_equal(chunked, whole)
 
+    @pytest.mark.parametrize("planes_per_chunk", [1, 2, 3])
+    @pytest.mark.parametrize("dims", [(6, 5, 4), (9, 7, 5), (10, 7, 5)])
+    @pytest.mark.parametrize("cin", [2, 3, 4])
+    def test_ragged_chunks_equal_single_chunk(self, monkeypatch, cin, dims, planes_per_chunk):
+        # Y * Z is not a multiple of 16 here, so BLAS may round some rows
+        # differently when a GEMM has fewer rows: the copy budget must not
+        # change which rows each GEMM holds.
+        rng = np.random.default_rng(cin * 1000 + dims[0] * 10 + planes_per_chunk)
+        cout = cin + 1
+        _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
+        whole = conv3d_core(padded, weights)  # the default budget holds every plane
+        plane_bytes = 4 * cin * 27 * dims[1] * dims[2]
+        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", planes_per_chunk * plane_bytes)
+        np.testing.assert_array_equal(conv3d_core(padded, weights), whole)
+
+    @pytest.mark.parametrize("planes_per_chunk", [1, 2, 3, 10])
+    def test_copy_chunk_of_several_gemm_blocks_equals_one_block(self, monkeypatch, planes_per_chunk):
+        # one-plane GEMM blocks: a copy chunk holding 1, 2, 3 or all of them
+        # issues the same GEMMs
+        rng = np.random.default_rng(40 + planes_per_chunk)
+        cin, cout, dims = 3, 4, (10, 7, 5)
+        _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
+        plane_bytes = 4 * cin * 27 * dims[1] * dims[2]
+        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", plane_bytes)
+        per_plane = conv3d_core(padded, weights)
+        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", planes_per_chunk * plane_bytes)
+        np.testing.assert_array_equal(conv3d_core(padded, weights), per_plane)
+        np.testing.assert_allclose(per_plane, naive_conv3d(padded[:, 1:-1, 1:-1, 1:-1], weights,
+                                                           np.zeros(cout)), atol=1e-5)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_memory_order_of_inputs_and_output(self, k):
+        # any input and weight order gives the same values; the output is
+        # channels-last for a 3x3x3 kernel and channels-first for 1x1x1
+        rng = np.random.default_rng(50 + k)
+        x, padded, weights = _conv_case(rng, 3, 4, k, (6, 5, 4))
+        expected = conv3d_core(padded, weights)
+        padded_last = np.ascontiguousarray(padded.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        weights_last = np.ascontiguousarray(weights.transpose(0, 2, 3, 4, 1)).transpose(0, 4, 1, 2, 3)
+        for p in (padded, padded_last):
+            for w in (weights, weights_last):
+                out = conv3d_core(p, w)
+                np.testing.assert_array_equal(out, expected)
+                if k == 3:
+                    assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+                else:
+                    assert out.flags.c_contiguous
+        np.testing.assert_allclose(expected, naive_conv3d(x, weights, np.zeros(4)), atol=1e-5)
+
 
 class TestTrilinearCore:
     @pytest.mark.parametrize("shape", [(6, 5, 4), (1, 7, 3), (9, 1, 1), (2, 2, 2)])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from volseg.network import (
     load_weights,
     max_pool_2x,
     nearest_upsample_2x,
+    relu,
     save_weights,
     softmax_channels,
 )
@@ -23,9 +26,19 @@ from oracles import (
     naive_forward_two_stage,
     naive_instance_norm,
     naive_max_pool,
+    naive_upsample,
 )
 
 TOY = NetworkConfig(in_channels=1, base_width=2, num_stages=2, kernel_plan=(3, 3))
+
+
+def channels_last(x):
+    """The same logical (C, X, Y, Z) array, stored as (X, Y, Z, C)."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def is_channels_last(x):
+    return x.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
 def analytic_tally(cfg: NetworkConfig) -> int:
@@ -322,3 +335,121 @@ class TestWeightFiles:
         path.write_bytes(b"NOPE!" + b"\x00" * 64)
         with pytest.raises(WeightFormatError, match="magic"):
             load_weights(path, TOY)
+
+
+class TestLayouts:
+    """Memory order follows kernel size; values and logical shapes do not."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conv3d_output_order_and_values(self, k):
+        rng = np.random.default_rng(60 + k)
+        x = rng.normal(size=(3, 4, 6, 5)).astype(np.float32)
+        w = rng.normal(size=(2, 3, k, k, k)).astype(np.float32)
+        b = rng.normal(size=2).astype(np.float32)
+        expected = conv3d(x, w, b)
+        out = conv3d(channels_last(x), w, b)
+        np.testing.assert_array_equal(out, expected)
+        assert out.shape == (2, 4, 6, 5)
+        assert is_channels_last(out) if k == 3 else out.flags.c_contiguous
+        np.testing.assert_allclose(out, naive_conv3d(x, w, b), atol=1e-5)
+
+    def test_ops_on_channels_last_equal_ops_on_c_copy(self):
+        rng = np.random.default_rng(62)
+        x = rng.normal(1.5, 2.0, size=(5, 6, 4, 8)).astype(np.float32)
+        xl = channels_last(x)
+        gamma = rng.normal(size=5).astype(np.float32)
+        beta = rng.normal(size=5).astype(np.float32)
+        for op in (lambda t: instance_norm(t, gamma, beta), relu, max_pool_2x, nearest_upsample_2x):
+            last, first = op(xl), op(x)
+            np.testing.assert_array_equal(last, first)
+            assert is_channels_last(last) and first.flags.c_contiguous
+        np.testing.assert_array_equal(nearest_upsample_2x(xl), naive_upsample(x))
+        np.testing.assert_allclose(instance_norm(xl, gamma, beta),
+                                   naive_instance_norm(x, gamma, beta), atol=1e-5)
+
+    def test_instance_norm_in_place_and_mixed_orders(self):
+        rng = np.random.default_rng(63)
+        x = rng.normal(size=(3, 4, 4, 6)).astype(np.float32)
+        gamma = rng.normal(size=3).astype(np.float32)
+        beta = rng.normal(size=3).astype(np.float32)
+        expected = instance_norm(x, gamma, beta)
+        xl = channels_last(x)
+        assert instance_norm(xl, gamma, beta, out=xl) is xl
+        np.testing.assert_array_equal(xl, expected)
+        out = np.empty_like(x)  # channels-first out for a channels-last input
+        np.testing.assert_array_equal(instance_norm(channels_last(x), gamma, beta, out=out), expected)
+        strided = np.zeros((3, 8, 4, 6), np.float32)[:, ::2]
+        strided[...] = x
+        np.testing.assert_array_equal(instance_norm(strided, gamma, beta), expected)
+
+    def test_toy_forward_matches_oracle_for_both_input_orders(self):
+        cfg = NetworkConfig(in_channels=3, base_width=2, num_stages=2, kernel_plan=(3, 3))
+        model = build_unet(cfg, init_seed=64)
+        x = np.random.default_rng(65).normal(size=(3, 4, 4, 4)).astype(np.float32)
+        probs = forward(model, x)
+        np.testing.assert_array_equal(forward(model, channels_last(x)), probs)
+        np.testing.assert_allclose(probs, naive_forward_two_stage(model, x), atol=1e-4)
+        assert probs.flags.c_contiguous
+
+    def test_default_model_for_both_input_orders(self, tmp_path):
+        # task2's four input channels (with one, both orders are the same memory)
+        in_channels = 4
+        cfg = NetworkConfig(in_channels=in_channels)
+        path = tmp_path / "default.vskw"
+        save_weights(build_unet(cfg, init_seed=66), path)
+        model = load_weights(path, cfg)
+        x = np.random.default_rng(67).normal(size=(in_channels, 32, 32, 32)).astype(np.float32)
+        probs = forward(model, x)
+        np.testing.assert_array_equal(forward(model, channels_last(x)), probs)
+        assert probs.shape == (3, 32, 32, 32) and probs.flags.c_contiguous
+        assert probs.min() >= 0.0
+        np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-5)
+
+    def test_conv3d_sees_the_plan_shapes(self, tmp_path, monkeypatch):
+        cfg = NetworkConfig(base_width=4, num_stages=3, kernel_plan=(3, 3, 1))
+        path = tmp_path / "net.vskw"
+        save_weights(build_unet(cfg, init_seed=68), path)
+        expected, dims, stack = [], 16, []
+        for lay in layer_plan(cfg):
+            if lay.kind == "conv":
+                expected.append(((lay.cin, dims, dims, dims), (lay.cout, lay.cin, *lay.kernel)))
+            elif lay.kind == "max_pool":
+                stack.append(dims)
+                dims //= 2
+            elif lay.kind == "upsample":
+                dims = stack.pop()
+        seen = []
+        conv = network.conv3d
+
+        def counting(x, weights, bias):
+            seen.append((x.shape, weights.shape))
+            return conv(x, weights, bias)
+
+        monkeypatch.setattr(network, "conv3d", counting)
+        forward(load_weights(path, cfg), np.ones((1, 16, 16, 16), np.float32))
+        assert seen == expected
+
+    def test_loaded_weights_memory_order(self, tmp_path):
+        path = tmp_path / "toy.vskw"
+        save_weights(build_unet(TOY, init_seed=69), path)
+        for lay in load_weights(path, TOY).layers:
+            if lay.kind == "conv":
+                assert lay.weights.shape == (lay.cout, lay.cin, *lay.kernel)
+                order = (0, 2, 3, 4, 1) if lay.kernel == (3, 3, 3) else (0, 1, 2, 3, 4)
+                assert lay.weights.transpose(order).flags.c_contiguous
+            if lay.bias is not None:
+                assert lay.bias.flags.owndata  # not a view that keeps the payload alive
+
+    # sha256 of the bytes written before weights were stored channels-last
+    SAVED = {1: "2cd099f2539d481c90c24948edf8c46e1055a627941e498744396b83b71d933a",
+             4: "706aacee4ff35c5e0f333e46eeff2160a1bdbc0686e7108ebb72528da1874321"}
+
+    @pytest.mark.parametrize("in_channels", [1, 4])
+    def test_save_weights_bytes_unchanged_through_load(self, tmp_path, in_channels):
+        cfg = NetworkConfig(in_channels=in_channels)
+        first, second = tmp_path / "a.vskw", tmp_path / "b.vskw"
+        save_weights(build_unet(cfg, init_seed=0), first)
+        save_weights(load_weights(first, cfg), second)
+        digest = hashlib.sha256(first.read_bytes()).hexdigest()
+        assert digest == self.SAVED[in_channels]
+        assert second.read_bytes() == first.read_bytes()
