@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .augmentation import AugmentationPolicy, TransformParams, apply_augmentations, scheduled_probability
-from .inference import SlidingWindowConfig, argmax_labels, ensemble_predict, sliding_window_predict
+# ensemble_predict runs inside the window; it stays importable from here by name
+from .inference import SlidingWindowConfig, argmax_labels, ensemble_predict, sliding_window_predict  # noqa: F401
 from .metrics import CLASS_NAMES, evaluate_set
 from .network import NetworkConfig, forward, layer_plan, load_weights
 from .nifti import atomic_write_nifti, read_nifti, write_nifti
@@ -224,11 +225,9 @@ def cmd_infer(cfg: RunConfig, input_paths, output_path) -> int:
         models = [load_weights(path, cfg.network) for path in cfg.weights]
 
         stage = "predict"
-
-        def predictor(patch):
-            return ensemble_predict([forward(model, patch) for model in models])
-
-        probs = sliding_window_predict(stacked, predictor, cfg.window)
+        # the window blends each member as it returns; ``forward`` is looked up per call
+        members = [lambda patch, model=model: forward(model, patch) for model in models]
+        probs = sliding_window_predict(stacked, members, cfg.window)
 
         stage = "extract-labels"
         labels = argmax_labels(probs)

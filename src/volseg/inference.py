@@ -1,16 +1,21 @@
 """Sliding-window whole-volume prediction with weighted overlap blending.
 
 The volume is tiled into patches on a stride grid (with a final offset
-flush to the far edge when the last step overshoots), each patch is
-normalized patch-wise, run through the predictor, and accumulated into
-numerator (probability x weight) and denominator (weight) grids; the
-output is their ratio. Overlaps can be blended with equal weights or with
-a separable Gaussian kernel falling from 1 at the patch center to a
-configurable edge value per axis. A fold ensemble runs inside one window:
-each normalized patch goes through every fold's network and the window
-blends the voxel-wise mean of their probabilities, which equals the mean
-of the per-fold windows because every fold sees the same tiles and
-weights. Argmax turns probabilities into labels.
+flush to the far edge when the last step overshoots). Each patch is
+normalized patch-wise once and run through every fold member's predictor,
+one member at a time. ``ensemble_predict`` adds each member's
+probabilities, weighted by ``kernel / F`` for F members, straight into a
+float64 numerator grid through a small slab buffer, so only one member's
+output exists at any time; the window's result is the numerator divided
+by the summed weights, which equals the mean of the per-member windows
+because every member sees the same tiles and weights.
+
+Overlaps can be blended with equal weights or with a separable Gaussian
+kernel falling from 1 at the patch center to a configurable edge value
+per axis. Both kernels are outer products of per-axis profiles and the
+tile offsets form a grid, so the summed weight (the denominator) is the
+outer product of three 1-D per-axis sums: no denominator volume is kept.
+Argmax turns probabilities into labels.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +28,11 @@ from .volume import LabelMask, Volume3D
 
 # accepts a normalized (C_in, px, py, pz) patch, returns (3, px, py, pz) probabilities
 Predictor = Callable[[np.ndarray], np.ndarray]
+
+# Bytes of the float64 buffer a blend or the final division works through,
+# in whole X planes (at least one) and never more than the patch or volume
+# it covers.
+_SLAB_BYTES = 1 << 20
 
 
 @dataclass
@@ -47,14 +57,21 @@ class SlidingWindowConfig:
 
 @dataclass
 class WeightKernel:
+    """Blending kernel: the outer product of three positive per-axis profiles."""
+
     size: tuple[int, int, int]
-    weights: np.ndarray  # positive, max 1 at the center
+    profiles: tuple  # three 1-D float64 arrays, lengths ``size``
+    weights: np.ndarray = field(init=False)  # (X, Y, Z) float64, max 1 at the center
 
     def __post_init__(self):
-        if tuple(self.weights.shape) != tuple(self.size):
-            raise ValueError(f"kernel shape {self.weights.shape} != declared size {self.size}")
-        if not (self.weights > 0).all():
+        self.size = tuple(int(s) for s in self.size)
+        self.profiles = tuple(np.asarray(p, dtype=np.float64) for p in self.profiles)
+        if tuple(p.shape for p in self.profiles) != tuple((n,) for n in self.size):
+            raise ValueError(f"kernel profiles {[p.shape for p in self.profiles]} != declared size {self.size}")
+        if not all((p > 0).all() for p in self.profiles):
             raise ValueError("kernel weights must be strictly positive")
+        gx, gy, gz = self.profiles
+        self.weights = gx[:, None, None] * gy[None, :, None] * gz[None, None, :]
 
 
 def gaussian_weight_kernel(size, edge_value: float = 0.1) -> WeightKernel:
@@ -73,14 +90,12 @@ def gaussian_weight_kernel(size, edge_value: float = 0.1) -> WeightKernel:
         sigma = center / np.sqrt(2.0 * np.log(1.0 / edge_value))
         t = np.arange(n, dtype=np.float64)
         profiles.append(np.exp(-((t - center) ** 2) / (2.0 * sigma**2)))
-    gx, gy, gz = profiles
-    weights = gx[:, None, None] * gy[None, :, None] * gz[None, None, :]
-    return WeightKernel(size, weights)
+    return WeightKernel(size, tuple(profiles))
 
 
 def equal_weight_kernel(size) -> WeightKernel:
     size = tuple(int(s) for s in size)
-    return WeightKernel(size, np.ones(size, dtype=np.float64))
+    return WeightKernel(size, tuple(np.ones(n) for n in size))
 
 
 def _axis_offsets(dim: int, patch: int, stride: int) -> list[int]:
@@ -107,14 +122,50 @@ def _kernel_for(config: SlidingWindowConfig) -> WeightKernel:
     return equal_weight_kernel(config.patch_size)
 
 
-def sliding_window_predict(vol: Volume3D, predictor: Predictor,
-                           config: SlidingWindowConfig, offsets=None) -> Volume3D:
-    """Tiled whole-volume prediction; returns a 3-channel probability volume.
+def _axis_weight_sums(offsets, kernel: WeightKernel, work_dims) -> list[np.ndarray]:
+    """Per-axis sums of the kernel profiles over the tiles' per-axis starts.
 
-    Normalization is applied per extracted patch (exempt channels pass
-    through untouched) before each predictor call. The result does not
-    depend on tile order; ``offsets`` exists to let tests exercise that.
+    The summed weight at (x, y, z) is ``sums[0][x] * sums[1][y] *
+    sums[2][z]`` only when ``offsets`` holds every tile of its per-axis
+    grid exactly once, so any other list is rejected.
     """
+    offsets = [tuple(int(v) for v in o) for o in offsets]
+    starts = [sorted({o[axis] for o in offsets}) for axis in range(3)]
+    grid = {(x, y, z) for x in starts[0] for y in starts[1] for z in starts[2]}
+    if len(offsets) != len(grid) or set(offsets) != grid:
+        raise ValueError("tile offsets must be a grid with every tile once")
+    sums = []
+    for axis_starts, profile, dim in zip(starts, kernel.profiles, work_dims):
+        if axis_starts and (axis_starts[0] < 0 or axis_starts[-1] + len(profile) > dim):
+            raise ValueError(f"tile offsets {axis_starts} put a patch of {len(profile)} outside {dim} voxels")
+        total = np.zeros(dim)
+        for start in axis_starts:
+            total[start:start + len(profile)] += profile
+        if not (total > 0).all():
+            raise ValueError("tiling left voxels uncovered")
+        sums.append(total)
+    return sums
+
+
+def _slab_planes(*plane_shape) -> int:
+    """X planes of ``plane_shape`` float64 values that fit the slab budget, at least one."""
+    return max(1, _SLAB_BYTES // (8 * int(np.prod(plane_shape))))
+
+
+def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: SlidingWindowConfig,
+                           offsets=None) -> Volume3D:
+    """Tiled whole-volume prediction blended over fold members; 3-channel probabilities.
+
+    ``predictors`` lists the fold members (one model is ``[predictor]``);
+    the result is the mean of their windows. Normalization is applied
+    once per extracted patch (exempt channels pass through untouched)
+    before the members run. The result does not depend on tile order;
+    ``offsets`` exists to let tests exercise that, and must hold every
+    tile of a grid once.
+    """
+    predictors = list(predictors)
+    if not predictors:
+        raise ValueError("the window needs at least one predictor")
     dims = vol.dims
     pad = [max(p - d, 0) for p, d in zip(config.patch_size, dims)]
     data = vol.data
@@ -124,62 +175,79 @@ def sliding_window_predict(vol: Volume3D, predictor: Predictor,
 
     if offsets is None:
         offsets = tile_offsets(work_dims, config)
-    kernel = _kernel_for(config).weights  # float64
+    kernel = _kernel_for(config)
+    den_axes = _axis_weight_sums(offsets, kernel, work_dims)
+    weights = kernel.weights  # float64; each member's share of a tile's weight
+    weights /= len(predictors)
     px, py, pz = config.patch_size
 
-    num = weighted = None  # weighted: one tile's probs * kernel
-    den = np.zeros(work_dims, dtype=np.float64)
+    num = None
     for ox, oy, oz in offsets:
         patch = data[:, ox:ox + px, oy:oy + py, oz:oz + pz]
         patch = normalize_patchwise(patch, exempt_channels=config.exempt_channels)
-        probs = np.asarray(predictor(patch))
-        if probs.ndim != 4 or probs.shape[1:] != (px, py, pz):
-            raise ValueError(
-                f"predictor returned shape {probs.shape}, expected (C, {px}, {py}, {pz})"
-            )
-        if num is None:
-            num = np.zeros((probs.shape[0], *work_dims), dtype=np.float64)
-            weighted = np.empty(probs.shape, dtype=np.float64)
-        np.multiply(probs, kernel, out=weighted)
-        num[:, ox:ox + px, oy:oy + py, oz:oz + pz] += weighted
-        den[ox:ox + px, oy:oy + py, oz:oz + pz] += kernel
-
-    if num is None or not (den > 0).all():
-        raise ValueError("tiling left voxels uncovered")
-    num /= den
-    out = num[:, : dims[0], : dims[1], : dims[2]]
-    return Volume3D(out.astype(np.float32), vol.spacing, "continuous")
+        for predict in predictors:
+            probs = np.asarray(predict(patch))
+            if probs.ndim != 4 or probs.shape[1:] != (px, py, pz):
+                raise ValueError(
+                    f"predictor returned shape {probs.shape}, expected (C, {px}, {py}, {pz})"
+                )
+            if num is None:
+                num = np.zeros((probs.shape[0], *work_dims), dtype=np.float64)
+            ensemble_predict(probs, weights, num[:, ox:ox + px, oy:oy + py, oz:oz + pz])
+            del probs  # released before the next member runs
+    return Volume3D(_divide_by_weights(num, den_axes, dims), vol.spacing, "continuous")
 
 
-def ensemble_predict(member_probs) -> np.ndarray:
-    """Voxel-wise float64 mean of the fold members' probabilities for one patch.
+def _divide_by_weights(num: np.ndarray, den_axes, dims) -> np.ndarray:
+    """float32 ``num / den`` over the first ``dims`` voxels, one X slab of ``den`` at a time."""
+    dx, dy, dz = den_axes
+    out = np.empty((num.shape[0], *dims), dtype=np.float32)
+    den_yz = np.multiply.outer(dy[:dims[1]], dz[:dims[2]])
+    step = min(dims[0], _slab_planes(dims[1], dims[2]))
+    den = np.empty((step, dims[1], dims[2]))
+    for x0 in range(0, dims[0], step):
+        x1 = min(dims[0], x0 + step)
+        np.multiply(dx[x0:x1, None, None], den_yz, out=den[:x1 - x0])
+        np.divide(num[:, x0:x1, :dims[1], :dims[2]], den[:x1 - x0], out=out[:, x0:x1])
+    return out
 
-    ``cmd_infer`` calls it on every tile with each fold's network output,
-    so one window blends the fold mean and keeps a single probability
-    buffer however many folds run.
+
+def ensemble_predict(probs, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Blend one fold member into a float64 accumulator: ``out += probs * weights``.
+
+    ``probs`` and ``out`` are (C, X, Y, Z), ``weights`` is (X, Y, Z).
+    ``sliding_window_predict`` calls it for every member on every tile,
+    with ``out`` the tile's region of its numerator grid and ``weights``
+    the kernel divided by the number of members, so the window blends the
+    fold mean without keeping any member's output or a float64 tile. The
+    products go through one float64 buffer of a few X planes.
     """
-    member_probs = [np.asarray(p) for p in member_probs]
-    if not member_probs:
-        raise ValueError("ensemble needs at least one probability array")
-    first, *rest = member_probs
-    for probs in rest:
-        if probs.shape != first.shape:
-            raise ValueError(f"shape mismatch in ensemble: {probs.shape} vs {first.shape}")
-    # the first sum is made in float64 directly, not on a float64 copy
-    acc = np.add(first, rest[0], dtype=np.float64) if rest else first.astype(np.float64)
-    for probs in rest[1:]:
-        acc += probs
-    acc /= len(member_probs)
-    return acc
+    probs = np.asarray(probs)
+    if out.dtype != np.float64 or probs.shape != out.shape or weights.shape != out.shape[1:]:
+        raise ValueError(f"shape mismatch in ensemble: probabilities {probs.shape}, weights "
+                         f"{weights.shape}, float64 accumulator {out.shape} ({out.dtype})")
+    channels, px, py, pz = out.shape
+    step = min(px, _slab_planes(channels, py, pz))
+    buf = np.empty((channels, step, py, pz))
+    for x0 in range(0, px, step):
+        x1 = min(px, x0 + step)
+        np.multiply(probs[:, x0:x1], weights[x0:x1], out=buf[:, :x1 - x0])
+        out[:, x0:x1] += buf[:, :x1 - x0]
+    return out
 
 
 def argmax_labels(probs: Volume3D) -> LabelMask:
-    """Per-voxel class of maximum probability; ties favor the lower class."""
+    """Per-voxel class of maximum probability; ties favor the lower class.
+
+    Raises ``ValueError`` when any probability is NaN.
+    """
     p = probs.data
     best = p[0].copy()
     labels = np.zeros(best.shape, dtype=np.uint8)
     for c in range(1, p.shape[0]):
         better = p[c] > best  # strict, so a tie keeps the lower class
         labels[better] = c
-        np.maximum(best, p[c], out=best)
+        np.maximum(best, p[c], out=best)  # carries a NaN of any class into best
+    if np.isnan(best).any():
+        raise ValueError("probabilities contain NaN")
     return LabelMask(labels, probs.spacing)

@@ -26,50 +26,52 @@ def _check_pair(truth: np.ndarray, pred: np.ndarray):
     pred = np.asarray(pred)
     if truth.shape != pred.shape:
         raise ValueError(f"mask shapes differ: {truth.shape} vs {pred.shape}")
-    return truth != 0, pred != 0
+    return tuple(m if m.dtype == bool else m != 0 for m in (truth, pred))
+
+
+def _overlap(truth: np.ndarray, pred: np.ndarray) -> tuple[int, int, int]:
+    """(TP, |truth|, |pred|) of one binary pair."""
+    t, p = _check_pair(truth, pred)
+    return int(np.count_nonzero(t & p)), int(np.count_nonzero(t)), int(np.count_nonzero(p))
+
+
+def _dice(tp: int, n_truth: int, n_pred: int) -> float:
+    denom = n_truth + n_pred
+    return 1.0 if denom == 0 else 2.0 * tp / denom
+
+
+def _pooled_dice(counts) -> float:
+    """Aggregated Dice of per-case (TP, |truth|, |pred|) counts."""
+    return _dice(*(sum(column) for column in zip(*counts)))
+
+
+def _fraction(tp: int, n: int) -> float:
+    return math.nan if n == 0 else tp / n
 
 
 def dsc(truth: np.ndarray, pred: np.ndarray) -> float:
     """Dice similarity coefficient of one binary pair; 1.0 when both are empty."""
-    t, p = _check_pair(truth, pred)
-    denom = int(t.sum()) + int(p.sum())
-    if denom == 0:
-        return 1.0
-    return 2.0 * int((t & p).sum()) / denom
+    return _dice(*_overlap(truth, pred))
 
 
 def dsc_agg(pairs) -> float:
     """Aggregated Dice over (truth, pred) pairs: one ratio of pooled counts."""
-    pairs = list(pairs)
-    if not pairs:
+    counts = [_overlap(truth, pred) for truth, pred in pairs]
+    if not counts:
         raise ValueError("dsc_agg needs at least one pair")
-    inter = 0
-    denom = 0
-    for truth, pred in pairs:
-        t, p = _check_pair(truth, pred)
-        inter += int((t & p).sum())
-        denom += int(t.sum()) + int(p.sum())
-    if denom == 0:
-        return 1.0
-    return 2.0 * inter / denom
+    return _pooled_dice(counts)
 
 
 def precision(truth: np.ndarray, pred: np.ndarray) -> float:
     """TP / (TP + FP); NaN when the prediction is empty."""
-    t, p = _check_pair(truth, pred)
-    predicted = int(p.sum())
-    if predicted == 0:
-        return math.nan
-    return int((t & p).sum()) / predicted
+    tp, _, n_pred = _overlap(truth, pred)
+    return _fraction(tp, n_pred)
 
 
 def recall(truth: np.ndarray, pred: np.ndarray) -> float:
     """TP / (TP + FN); NaN when the ground truth is empty."""
-    t, p = _check_pair(truth, pred)
-    actual = int(t.sum())
-    if actual == 0:
-        return math.nan
-    return int((t & p).sum()) / actual
+    tp, n_truth, _ = _overlap(truth, pred)
+    return _fraction(tp, n_truth)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +147,11 @@ class EvaluationResult:
 
 
 def evaluate_set(truths, preds, ids=None) -> EvaluationResult:
-    """Aggregated Dice per foreground class plus per-case records."""
+    """Aggregated Dice per foreground class plus per-case records.
+
+    TP, |truth| and |pred| are counted once per case and class; every
+    record and the aggregated Dice are ratios of those integers.
+    """
     truths = list(truths)
     preds = list(preds)
     if len(truths) != len(preds) or not truths:
@@ -155,25 +161,24 @@ def evaluate_set(truths, preds, ids=None) -> EvaluationResult:
     elif len(ids) != len(truths):
         raise ValueError("ids list does not match the number of cases")
 
-    def binary(mask, c):
-        labels = mask.labels if isinstance(mask, LabelMask) else np.asarray(mask)
-        return labels == c
+    def labels(mask):
+        return mask.labels if isinstance(mask, LabelMask) else np.asarray(mask)
 
     per_class = {}
     all_empty = {}
     records = []
     for c in FOREGROUND_CLASSES:
-        pairs = [(binary(t, c), binary(p, c)) for t, p in zip(truths, preds)]
-        per_class[c] = dsc_agg(pairs)
-        all_empty[c] = all(not t.any() and not p.any() for t, p in pairs)
-        for pid, (t, p) in zip(ids, pairs):
+        counts = [_overlap(labels(t) == c, labels(p) == c) for t, p in zip(truths, preds)]
+        per_class[c] = _pooled_dice(counts)
+        all_empty[c] = all(n_truth == 0 and n_pred == 0 for _, n_truth, n_pred in counts)
+        for pid, (tp, n_truth, n_pred) in zip(ids, counts):
             records.append(EvaluationRecord(
                 patient_id=pid,
                 class_id=c,
-                dsc=dsc(t, p),
-                precision=precision(t, p),
-                recall=recall(t, p),
-                truth_empty=not t.any(),
+                dsc=_dice(tp, n_truth, n_pred),
+                precision=_fraction(tp, n_pred),
+                recall=_fraction(tp, n_truth),
+                truth_empty=n_truth == 0,
             ))
     mean_agg = float(np.mean([per_class[c] for c in FOREGROUND_CLASSES]))
     return EvaluationResult(per_class, mean_agg, all_empty, records)

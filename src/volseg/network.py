@@ -387,6 +387,8 @@ def load_weights(path, config: NetworkConfig) -> Model:
             if len(payload) < nbytes:
                 raise WeightFormatError(f"{path}: layer {i} truncated (payload)")
             crc = zlib.crc32(payload, crc)
+            if not np.isfinite(np.frombuffer(payload, dtype="<f4")).all():
+                raise WeightFormatError(f"{path}: layer {i} has NaN or Inf values")
             if shapes:
                 n = math.prod(shapes[0])
                 values = np.frombuffer(payload, dtype="<f4", count=n)

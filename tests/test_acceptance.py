@@ -191,8 +191,8 @@ def test_criterion_05_gaussian_kernel():
             return out
 
         base = dict(patch_size=(4, 4, 4), stride=(2, 2, 2))
-        out_eq = sliding_window_predict(vol, const, SlidingWindowConfig(weighting="equal", **base))
-        out_ga = sliding_window_predict(vol, const, SlidingWindowConfig(weighting="gaussian", **base))
+        out_eq = sliding_window_predict(vol, [const], SlidingWindowConfig(weighting="equal", **base))
+        out_ga = sliding_window_predict(vol, [const], SlidingWindowConfig(weighting="gaussian", **base))
         np.testing.assert_allclose(out_eq.data, out_ga.data, atol=1e-6)
 
 
@@ -221,15 +221,15 @@ def test_criterion_06_sliding_window_geometry():
 
         vol = Volume3D(rng.normal(size=(1, 4, 4, 4)).astype(np.float32), (1, 1, 1))
         single = SlidingWindowConfig(patch_size=(4, 4, 4), stride=(4, 4, 4), weighting="equal")
-        out = sliding_window_predict(vol, soft, single)
+        out = sliding_window_predict(vol, [soft], single)
         np.testing.assert_allclose(out.data, soft(normalize_patchwise(vol.data)), atol=1e-6)
 
         vol = Volume3D(rng.normal(size=(1, 8, 6, 4)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=(4, 4, 2), stride=(2, 2, 2), weighting="gaussian")
         offsets = tile_offsets(vol.dims, cfg)
-        out_a = sliding_window_predict(vol, soft, cfg, offsets=offsets)
+        out_a = sliding_window_predict(vol, [soft], cfg, offsets=offsets)
         shuffled = [offsets[i] for i in rng.permutation(len(offsets))]
-        out_b = sliding_window_predict(vol, soft, cfg, offsets=shuffled)
+        out_b = sliding_window_predict(vol, [soft], cfg, offsets=shuffled)
         np.testing.assert_allclose(out_a.data, out_b.data, atol=1e-6)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import volseg
+from volseg import cli
 from volseg.cli import _KEYS, build_parser, build_run_config, load_config_file, main
 from volseg.network import NetworkConfig, build_unet, save_weights
 from volseg.nifti import read_nifti, write_nifti
@@ -438,6 +439,33 @@ class TestInfer:
                      "--weights", str(bad_weights), "--output", str(out), scan])
         assert code == 2
         assert "load-weights" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_weights_are_load_weights_error(self, tmp_path, capsys):
+        scan = self.toy_volume(tmp_path)
+        model = build_unet(NetworkConfig(base_width=2, num_stages=2, kernel_plan=(3, 3)), init_seed=0)
+        model.layers[0].weights.reshape(-1)[5] = np.nan
+        weights = tmp_path / "nan.vskw"
+        save_weights(model, weights)
+        out = tmp_path / "x.nii.gz"
+        code = main(["infer", "--config", self.toy_config(tmp_path),
+                     "--weights", str(weights), "--output", str(out), scan])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "load-weights" in err and "layer 0 has NaN or Inf" in err
+        assert not out.exists()
+
+    def test_nan_probabilities_are_extract_labels_error(self, tmp_path, capsys, monkeypatch):
+        def nan_forward(model, patch):
+            return np.full((3, *patch.shape[1:]), np.nan, np.float32)
+
+        monkeypatch.setattr(cli, "forward", nan_forward)
+        scan = self.toy_volume(tmp_path)
+        out = tmp_path / "x.nii.gz"
+        code = main(["infer", "--config", self.toy_config(tmp_path),
+                     "--weights", toy_weights(tmp_path), "--output", str(out), scan])
+        assert code == 2
+        assert "extract-labels: probabilities contain NaN" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_weights_is_data_error(self, tmp_path):

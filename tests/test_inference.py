@@ -1,6 +1,10 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from volseg import inference
 from volseg.inference import (
     SlidingWindowConfig,
     argmax_labels,
@@ -121,7 +125,7 @@ class TestSlidingWindow:
         rng = np.random.default_rng(1)
         vol = Volume3D(rng.normal(size=(1, 4, 4, 4)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=(4, 4, 4), stride=(4, 4, 4), weighting="equal")
-        out = sliding_window_predict(vol, mean_predictor, cfg)
+        out = sliding_window_predict(vol, [mean_predictor], cfg)
         direct = mean_predictor(normalize_patchwise(vol.data))
         np.testing.assert_allclose(out.data, direct, atol=1e-6)
 
@@ -131,7 +135,7 @@ class TestSlidingWindow:
         probs = (0.5, 0.3, 0.2)
         for weighting in ("equal", "gaussian"):
             cfg = SlidingWindowConfig(patch_size=(4, 4, 2), stride=(2, 3, 1), weighting=weighting)
-            out = sliding_window_predict(vol, constant_predictor(probs), cfg)
+            out = sliding_window_predict(vol, [constant_predictor(probs)], cfg)
             for c, value in enumerate(probs):
                 np.testing.assert_allclose(out.data[c], value, atol=1e-6)
 
@@ -139,9 +143,9 @@ class TestSlidingWindow:
         rng = np.random.default_rng(3)
         vol = Volume3D(rng.normal(size=(1, 6, 6, 6)).astype(np.float32), (1, 1, 1))
         base = dict(patch_size=(4, 4, 4), stride=(2, 2, 2))
-        out_eq = sliding_window_predict(vol, constant_predictor((0.2, 0.3, 0.5)),
+        out_eq = sliding_window_predict(vol, [constant_predictor((0.2, 0.3, 0.5))],
                                         SlidingWindowConfig(weighting="equal", **base))
-        out_ga = sliding_window_predict(vol, constant_predictor((0.2, 0.3, 0.5)),
+        out_ga = sliding_window_predict(vol, [constant_predictor((0.2, 0.3, 0.5))],
                                         SlidingWindowConfig(weighting="gaussian", **base))
         np.testing.assert_allclose(out_eq.data, out_ga.data, atol=1e-6)
 
@@ -149,7 +153,7 @@ class TestSlidingWindow:
         rng = np.random.default_rng(4)
         vol = Volume3D(rng.normal(size=(1, 8, 8, 4)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=(4, 4, 2), stride=(3, 2, 2), weighting="gaussian")
-        out = sliding_window_predict(vol, mean_predictor, cfg)
+        out = sliding_window_predict(vol, [mean_predictor], cfg)
         np.testing.assert_allclose(out.data.sum(axis=0), 1.0, atol=1e-5)
 
     def test_tile_order_does_not_change_result(self):
@@ -157,16 +161,16 @@ class TestSlidingWindow:
         vol = Volume3D(rng.normal(size=(1, 8, 6, 4)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=(4, 4, 2), stride=(2, 2, 2), weighting="gaussian")
         offsets = tile_offsets(vol.dims, cfg)
-        out_fwd = sliding_window_predict(vol, mean_predictor, cfg, offsets=offsets)
+        out_fwd = sliding_window_predict(vol, [mean_predictor], cfg, offsets=offsets)
         shuffled = [offsets[i] for i in rng.permutation(len(offsets))]
-        out_shuf = sliding_window_predict(vol, mean_predictor, cfg, offsets=shuffled)
+        out_shuf = sliding_window_predict(vol, [mean_predictor], cfg, offsets=shuffled)
         np.testing.assert_allclose(out_fwd.data, out_shuf.data, atol=1e-6)
 
     def test_matches_manual_two_patch_accumulation(self):
         rng = np.random.default_rng(6)
         vol = Volume3D(rng.normal(size=(1, 6, 4, 4)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=(4, 4, 4), stride=(2, 4, 4), weighting="gaussian")
-        out = sliding_window_predict(vol, mean_predictor, cfg)
+        out = sliding_window_predict(vol, [mean_predictor], cfg)
 
         from volseg.inference import gaussian_weight_kernel as gk
         kernel = gk((4, 4, 4), 0.1).weights
@@ -183,7 +187,7 @@ class TestSlidingWindow:
         rng = np.random.default_rng(7)
         vol = Volume3D(rng.normal(size=(1, 3, 3, 3)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=(4, 4, 4), stride=(4, 4, 4), weighting="equal")
-        out = sliding_window_predict(vol, constant_predictor((0.6, 0.3, 0.1)), cfg)
+        out = sliding_window_predict(vol, [constant_predictor((0.6, 0.3, 0.1))], cfg)
         assert out.dims == (3, 3, 3)
         np.testing.assert_allclose(out.data[0], 0.6, atol=1e-6)
 
@@ -195,7 +199,7 @@ class TestSlidingWindow:
             return np.zeros((3, 2, 2, 2), np.float32)
 
         with pytest.raises(ValueError, match="predictor returned"):
-            sliding_window_predict(vol, broken, cfg)
+            sliding_window_predict(vol, [broken], cfg)
 
     def test_exempt_channels_skip_normalization(self):
         rng = np.random.default_rng(8)
@@ -209,9 +213,98 @@ class TestSlidingWindow:
             seen["patch"] = patch.copy()
             return constant_predictor((1 / 3, 1 / 3, 1 / 3))(patch)
 
-        sliding_window_predict(vol, spy, cfg)
+        sliding_window_predict(vol, [spy], cfg)
         np.testing.assert_array_equal(seen["patch"][1], data[1])
         assert abs(seen["patch"][0].mean(dtype=np.float64)) < 1e-5
+
+    @pytest.mark.parametrize("weighting", ["equal", "gaussian"])
+    def test_two_members_match_full_volume_oracle_on_random_grids(self, weighting):
+        """Separable weight sum and member blend against a float64 num/den volume pair."""
+        rng = np.random.default_rng(20)
+
+        def reversed_predictor(patch):
+            return mean_predictor(patch)[::-1].copy()
+
+        for _ in range(12):
+            patch = tuple(int(rng.integers(2, 6)) for _ in range(3))
+            stride = tuple(int(rng.integers(1, p + 1)) for p in patch)
+            dims = tuple(int(rng.integers(p, 11)) for p in patch)
+            cfg = SlidingWindowConfig(patch_size=patch, stride=stride, weighting=weighting)
+            vol = Volume3D(rng.normal(size=(1, *dims)).astype(np.float32), (1, 1, 1))
+            out = sliding_window_predict(vol, [mean_predictor, reversed_predictor], cfg)
+
+            make_kernel = gaussian_weight_kernel if weighting == "gaussian" else equal_weight_kernel
+            kernel = make_kernel(patch).weights
+            num = np.zeros((3, *dims))
+            den = np.zeros(dims)
+            for ox, oy, oz in tile_offsets(dims, cfg):
+                region = (slice(ox, ox + patch[0]), slice(oy, oy + patch[1]), slice(oz, oz + patch[2]))
+                tile = normalize_patchwise(vol.data[(slice(None),) + region])
+                mean = (mean_predictor(tile).astype(np.float64) + reversed_predictor(tile)) / 2
+                num[(slice(None),) + region] += mean * kernel
+                den[region] += kernel
+            np.testing.assert_allclose(out.data, (num / den).astype(np.float32), atol=1e-6)
+
+    def test_offsets_must_be_a_grid_with_every_tile_once(self):
+        vol = Volume3D(np.ones((1, 8, 6, 4), np.float32), (1, 1, 1))
+        cfg = SlidingWindowConfig(patch_size=(4, 4, 2), stride=(2, 2, 2))
+        offsets = tile_offsets(vol.dims, cfg)
+        member = [constant_predictor((0.2, 0.3, 0.5))]
+        for bad in (offsets + [offsets[3]], offsets[:-1], [offsets[0], offsets[-1]]):
+            with pytest.raises(ValueError, match="grid with every tile once"):
+                sliding_window_predict(vol, member, cfg, offsets=bad)
+        with pytest.raises(ValueError, match="outside"):
+            sliding_window_predict(vol, member, cfg, offsets=[(6, 0, 0)])
+        with pytest.raises(ValueError, match="outside"):
+            sliding_window_predict(vol, member, cfg, offsets=[(-1, 0, 0)])
+        with pytest.raises(ValueError, match="uncovered"):
+            sliding_window_predict(vol, member, cfg, offsets=[(0, 0, 0), (4, 0, 0)])
+        with pytest.raises(ValueError, match="uncovered"):
+            sliding_window_predict(vol, member, cfg, offsets=[])
+
+    def test_one_member_output_alive_at_a_time(self):
+        rng = np.random.default_rng(21)
+        vol = Volume3D(rng.normal(size=(1, 8, 6, 4)).astype(np.float32), (1, 1, 1))
+        cfg = SlidingWindowConfig(patch_size=(4, 4, 2), stride=(2, 3, 2))
+        outputs = []
+
+        def member(patch):
+            alive = sum(ref() is not None for ref in outputs)
+            probs = mean_predictor(patch)
+            outputs.append(weakref.ref(probs))
+            if alive:
+                raise AssertionError(f"{alive} earlier member outputs still alive")
+            return probs
+
+        sliding_window_predict(vol, [member, member, member], cfg)
+        assert len(outputs) == 3 * len(tile_offsets(vol.dims, cfg))
+
+    def test_traced_peak_is_num_plus_one_member(self):
+        """tracemalloc peak of a 2-member window: no fold list, float64 tile or den volume."""
+        vol = Volume3D(np.random.default_rng(22).normal(size=(1, 48, 32, 16)).astype(np.float32), (1, 1, 1))
+        cfg = SlidingWindowConfig(patch_size=(32, 32, 16), stride=(16, 32, 16))  # 2 tiles
+
+        def member(patch):
+            probs = np.empty((3, *patch.shape[1:]), np.float32)
+            probs.fill(1 / 3)
+            return probs
+
+        voxels, patch_voxels = 48 * 32 * 16, 32 * 32 * 16
+        num = 3 * voxels * 8
+        kernel = patch_voxels * 8
+        one_member = 3 * patch_voxels * 4
+        slab = min(inference._SLAB_BYTES, 3 * patch_voxels * 8)
+        normalized_patch = patch_voxels * 4
+        small = 128 << 10  # numpy's casting buffers (8192 elements) and Python objects
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = sliding_window_predict(vol, [member, member], cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(out.data, 1 / 3, rtol=1e-6)
+        assert peak <= num + kernel + one_member + slab + normalized_patch + small, peak
 
 
 class TestEnsembleAndArgmax:
@@ -219,21 +312,29 @@ class TestEnsembleAndArgmax:
         raw = rng.random((3, *dims))
         return Volume3D((raw / raw.sum(axis=0)).astype(np.float32), (1, 1, 1))
 
+    def blend(self, members):
+        """Equal-weight fold mean through ``ensemble_predict``, one member at a time."""
+        out = np.zeros(members[0].shape)
+        weights = np.full(members[0].shape[1:], 1.0 / len(members))
+        for probs in members:
+            ensemble_predict(probs, weights, out)
+        return out
+
     def test_mean_of_identical_inputs_is_identity(self):
         vol = self.prob_volume(np.random.default_rng(9))
-        out = ensemble_predict([vol.data, vol.data, vol.data])
+        out = self.blend([vol.data, vol.data, vol.data])
         np.testing.assert_allclose(out, vol.data, atol=1e-7)
 
     def test_two_member_hand_average(self):
         a = np.array([1.0, 0.0, 0.0], np.float32).reshape(3, 1, 1, 1)
         b = np.array([0.0, 1.0, 0.0], np.float32).reshape(3, 1, 1, 1)
-        out = ensemble_predict([a, b])
+        out = self.blend([a, b])
         np.testing.assert_allclose(out.ravel(), [0.5, 0.5, 0.0])
 
     def test_matches_scalar_loop_average(self):
         rng = np.random.default_rng(10)
         vols = [self.prob_volume(rng) for _ in range(5)]
-        out = ensemble_predict([v.data for v in vols])
+        out = self.blend([v.data for v in vols])
         expected = np.zeros((3, 4, 4, 4))
         for idx in np.ndindex(expected.shape):
             expected[idx] = sum(float(v.data[idx]) for v in vols) / 5.0
@@ -244,22 +345,43 @@ class TestEnsembleAndArgmax:
     def test_bit_identical_to_float64_copy_and_add(self, members):
         rng = np.random.default_rng(12 + members)
         probs = [self.prob_volume(rng).data for _ in range(members)]
-        expected = probs[0].astype(np.float64)
-        for p in probs[1:]:
-            expected += p
-        expected /= members
-        out = ensemble_predict(probs)
+        weights = np.full((4, 4, 4), 1.0 / members)
+        expected = np.zeros((3, 4, 4, 4))
+        for p in probs:
+            expected += p.astype(np.float64) * weights
+        out = self.blend(probs)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, expected)
 
+    def test_blend_adds_into_a_view_and_ignores_slab_size(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        probs = self.prob_volume(rng, dims=(7, 5, 3)).data
+        weights = gaussian_weight_kernel((7, 5, 3)).weights
+        results = []
+        for slab_bytes in (1, 8 * 3 * 5 * 3 * 2, 1 << 20):  # one, two and all seven X planes
+            monkeypatch.setattr(inference, "_SLAB_BYTES", slab_bytes)
+            num = np.ones((3, 9, 6, 3))
+            assert ensemble_predict(probs, weights, num[:, 1:8, 1:]) is not None
+            results.append(num)
+        expected = np.ones((3, 9, 6, 3))
+        expected[:, 1:8, 1:] += probs.astype(np.float64) * weights
+        for num in results:
+            np.testing.assert_array_equal(num, expected)
+
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(11)
+        out = np.zeros((3, 4, 4, 4))
         with pytest.raises(ValueError, match="shape mismatch"):
-            ensemble_predict([self.prob_volume(rng).data, self.prob_volume(rng, dims=(3, 3, 3)).data])
+            ensemble_predict(self.prob_volume(rng, dims=(3, 3, 3)).data, np.ones((4, 4, 4)), out)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ensemble_predict(self.prob_volume(rng).data, np.ones((4, 4, 3)), out)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ensemble_predict(self.prob_volume(rng).data, np.ones((4, 4, 4)), out.astype(np.float32))
 
     def test_empty_rejected(self):
+        vol = Volume3D(np.zeros((1, 4, 4, 4), np.float32), (1, 1, 1))
         with pytest.raises(ValueError, match="at least one"):
-            ensemble_predict([])
+            sliding_window_predict(vol, [], SlidingWindowConfig(patch_size=(4, 4, 4), stride=(4, 4, 4)))
 
     def test_window_over_fold_mean_is_mean_of_windows(self):
         rng = np.random.default_rng(13)
@@ -269,13 +391,17 @@ class TestEnsembleAndArgmax:
         def reversed_predictor(patch):
             return mean_predictor(patch)[::-1].copy()
 
-        def fold_mean(patch):
-            return ensemble_predict([mean_predictor(patch), reversed_predictor(patch)])
-
-        out = sliding_window_predict(vol, fold_mean, cfg)
-        one = sliding_window_predict(vol, mean_predictor, cfg).data.astype(np.float64)
-        two = sliding_window_predict(vol, reversed_predictor, cfg).data.astype(np.float64)
+        out = sliding_window_predict(vol, [mean_predictor, reversed_predictor], cfg)
+        one = sliding_window_predict(vol, [mean_predictor], cfg).data.astype(np.float64)
+        two = sliding_window_predict(vol, [reversed_predictor], cfg).data.astype(np.float64)
         np.testing.assert_allclose(out.data, (one + two) / 2, atol=1e-6)
+
+    def test_argmax_rejects_nan(self):
+        for c in range(3):
+            probs = np.full((3, 2, 3, 2), 1.0 / 3.0, np.float32)
+            probs[c, 1, 2, 0] = np.nan
+            with pytest.raises(ValueError, match="NaN"):
+                argmax_labels(Volume3D(probs, (1, 1, 1)))
 
     def test_argmax_one_hot(self):
         probs = np.zeros((3, 2, 2, 2), np.float32)

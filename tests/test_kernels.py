@@ -59,7 +59,7 @@ class TestConv3dCore:
 
     @pytest.mark.parametrize("planes_per_chunk", [1, 2, 3])
     @pytest.mark.parametrize("dims", [(6, 5, 4), (9, 7, 5), (10, 7, 5)])
-    @pytest.mark.parametrize("cin", [2, 3, 4])
+    @pytest.mark.parametrize("cin", [1, 2, 3, 4])
     def test_ragged_chunks_equal_single_chunk(self, monkeypatch, cin, dims, planes_per_chunk):
         # Y * Z is not a multiple of 16 here, so BLAS may round some rows
         # differently when a GEMM has fewer rows: the copy budget must not
@@ -86,6 +86,18 @@ class TestConv3dCore:
         np.testing.assert_array_equal(conv3d_core(padded, weights), per_plane)
         np.testing.assert_allclose(per_plane, naive_conv3d(padded[:, 1:-1, 1:-1, 1:-1], weights,
                                                            np.zeros(cout)), atol=1e-5)
+
+    @pytest.mark.parametrize("block_planes", [1, 2, 3, 10])
+    def test_single_input_channel_k_major_blocks(self, monkeypatch, block_planes):
+        # cin = 1 copies each GEMM block's columns K-major; ragged blocks of
+        # 1, 2, 3 or all 10 planes match the oracle and stay channels-last
+        rng = np.random.default_rng(70 + block_planes)
+        dims = (10, 7, 5)
+        x, padded, weights = _conv_case(rng, 1, 6, 3, dims)
+        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", block_planes * 4 * 27 * dims[1] * dims[2])
+        out = conv3d_core(padded, weights)
+        assert out.shape == (6, *dims) and out.transpose(1, 2, 3, 0).flags.c_contiguous
+        np.testing.assert_allclose(out, naive_conv3d(x, weights, np.zeros(6)), atol=1e-5)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_memory_order_of_inputs_and_output(self, k):

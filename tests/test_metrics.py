@@ -258,6 +258,32 @@ class TestEvaluateSet:
             (result.per_class_agg[1] + result.per_class_agg[2]) / 2.0, abs=1e-12
         )
 
+    def test_every_record_matches_brute_force_counts(self):
+        rng = np.random.default_rng(13)
+        truths = self.masks(rng, n=4, dims=(5, 4, 3))
+        preds = self.masks(rng, n=4, dims=(5, 4, 3))
+        truths[1] = LabelMask(np.zeros((5, 4, 3), np.uint8))      # empty truth: recall NaN
+        preds[2] = LabelMask(np.ones((5, 4, 3), np.uint8))        # no class 2: precision NaN
+        result = evaluate_set(truths, preds, ids=list("abcd"))
+        by_key = {(r.patient_id, r.class_id): r for r in result.records}
+        for pid, t, p in zip("abcd", truths, preds):
+            for c in (1, 2):
+                tp, n_t, n_p = overlap_counts(t.labels == c, p.labels == c)
+                rec = by_key[(pid, c)]
+                assert rec.dsc == (2.0 * tp / (n_t + n_p) if n_t + n_p else 1.0)
+                assert rec.precision == tp / n_p if n_p else np.isnan(rec.precision)
+                assert rec.recall == tp / n_t if n_t else np.isnan(rec.recall)
+                assert rec.truth_empty == (n_t == 0)
+        # raw label arrays count as their masks do
+        raw = evaluate_set([t.labels for t in truths], [p.labels.astype(np.int64) for p in preds],
+                           ids=list("abcd"))
+        assert repr(raw) == repr(result)
+
+    def test_shape_mismatch_rejected(self):
+        truth = self.masks(np.random.default_rng(14), n=1)[0]
+        with pytest.raises(ValueError, match="shapes differ"):
+            evaluate_set([truth], [np.zeros((6, 6, 5), np.uint8)])
+
     def test_records_cover_every_case_and_class(self):
         rng = np.random.default_rng(11)
         truths = self.masks(rng, n=4)

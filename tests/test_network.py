@@ -330,6 +330,17 @@ class TestWeightFiles:
         with pytest.raises(WeightFormatError):
             load_weights(path, TOY)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    def test_non_finite_value_names_the_layer(self, tmp_path, bad, part):
+        model = build_unet(TOY, init_seed=18)
+        index = [i for i, lay in enumerate(model.layers) if lay.weights is not None][2]
+        getattr(model.layers[index], part).reshape(-1)[1] = bad
+        path = tmp_path / "toy.vskw"
+        save_weights(model, path)  # the CRC32 is valid; only the value is wrong
+        with pytest.raises(WeightFormatError, match=rf"layer {index} has NaN or Inf"):
+            load_weights(path, TOY)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.vskw"
         path.write_bytes(b"NOPE!" + b"\x00" * 64)
