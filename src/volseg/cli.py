@@ -34,6 +34,9 @@ from .volume import LabelMask, Volume3D, resample_linear, resample_nearest, rest
 
 N_FOLDS = 5
 TASK2_EXEMPT_CHANNELS = frozenset((2, 3))
+# pixdim is float32 in the header, so one spacing written by two tools can
+# differ in its last bits (a relative 6e-8); a real grid mismatch is far larger
+_SPACING_RTOL = 1e-5
 
 
 class PipelineError(Exception):
@@ -183,28 +186,42 @@ def cmd_net_info(cfg: RunConfig, out=None) -> int:
     return 0
 
 
+def _grid(dims, spacing) -> str:
+    return f"{'x'.join(map(str, dims))} at {'x'.join(f'{s:g}' for s in spacing)} mm"
+
+
 def _load_channels(cfg: RunConfig, input_paths):
-    """Read and resample the per-channel inputs; returns (stacked, reference)."""
+    """Read and resample the per-channel inputs; returns (stacked, reference).
+
+    Every input must share the first's native grid: the same dims, and
+    spacings equal within a relative ``_SPACING_RTOL``.
+    """
     expected = cfg.network.in_channels
     if len(input_paths) != expected:
         raise ValueError(f"{cfg.task} takes {expected} input path(s), got {len(input_paths)}")
     reference = None
+    first = None  # (path, dims, spacing) of the first input
     channels = []
     for idx, path in enumerate(input_paths):
-        if idx in cfg.window.exempt_channels:
-            mask = read_nifti(path, as_mask=True)
-            resampled = resample_nearest(mask, cfg.working_spacing)
+        is_mask = idx in cfg.window.exempt_channels
+        image = read_nifti(path, as_mask=is_mask)
+        if first is None:
+            first = (path, image.dims, image.spacing)
+        elif image.dims != first[1] or not np.allclose(image.spacing, first[2], rtol=_SPACING_RTOL, atol=0):
+            raise ValueError(f"{path} has grid {_grid(image.dims, image.spacing)} but {first[0]} has "
+                             f"{_grid(*first[1:])}; register the inputs to one grid first")
+        if is_mask:
+            resampled = resample_nearest(image, cfg.working_spacing)
             channels.append(resampled.labels.astype(np.float32))
         else:
-            vol = read_nifti(path)
-            if vol.channels != 1:
-                raise ValueError(f"{path}: expected a single-channel scan, got {vol.channels} channels")
-            finite = np.count_nonzero(np.isfinite(vol.data))
-            if finite != vol.data.size:
-                raise ValueError(f"{path}: {vol.data.size - finite} non-finite (NaN or Inf) voxels")
+            if image.channels != 1:
+                raise ValueError(f"{path}: expected a single-channel scan, got {image.channels} channels")
+            finite = np.count_nonzero(np.isfinite(image.data))
+            if finite != image.data.size:
+                raise ValueError(f"{path}: {image.data.size - finite} non-finite (NaN or Inf) voxels")
             if reference is None:
-                reference = vol
-            resampled = resample_linear(vol, cfg.working_spacing)
+                reference = image
+            resampled = resample_linear(image, cfg.working_spacing)
             channels.append(resampled.data[0])
     dims = {c.shape for c in channels}
     if len(dims) > 1:
@@ -228,9 +245,11 @@ def cmd_infer(cfg: RunConfig, input_paths, output_path) -> int:
         # the window blends each member as it returns; ``forward`` is looked up per call
         members = [lambda patch, model=model: forward(model, patch) for model in models]
         probs = sliding_window_predict(stacked, members, cfg.window)
+        del stacked
 
         stage = "extract-labels"
         labels = argmax_labels(probs)
+        del probs  # a float32 view that holds the window's whole float64 numerator
 
         stage = "restore-resolution"
         labels = restore_resolution(labels, reference)

@@ -8,7 +8,8 @@ probabilities, weighted by ``kernel / F`` for F members, straight into a
 float64 numerator grid through a small slab buffer, so only one member's
 output exists at any time; the window's result is the numerator divided
 by the summed weights, which equals the mean of the per-member windows
-because every member sees the same tiles and weights.
+because every member sees the same tiles and weights. The float32 quotient
+is written over the front of the numerator's own buffer.
 
 Overlaps can be blended with equal weights or with a separable Gaussian
 kernel falling from 1 at the patch center to a configurable edge value
@@ -31,7 +32,7 @@ Predictor = Callable[[np.ndarray], np.ndarray]
 
 # Bytes of the float64 buffer a blend or the final division works through,
 # in whole X planes (at least one) and never more than the patch or volume
-# it covers.
+# it covers; the division's float32 quotient buffer is half that.
 _SLAB_BYTES = 1 << 20
 
 
@@ -162,6 +163,13 @@ def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: S
     before the members run. The result does not depend on tile order;
     ``offsets`` exists to let tests exercise that, and must hold every
     tile of a grid once.
+
+    The result's data is a float32 view over the front of the window's
+    float64 numerator, so while it is held it keeps twice its own bytes
+    alive. The window's peak is that numerator plus the kernel, one
+    normalized patch, one member's output (and whatever its forward
+    allocates) and a slab buffer; the final division adds only two slab
+    buffers, not a second whole-volume array.
     """
     predictors = list(predictors)
     if not predictors:
@@ -199,16 +207,27 @@ def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: S
 
 
 def _divide_by_weights(num: np.ndarray, den_axes, dims) -> np.ndarray:
-    """float32 ``num / den`` over the first ``dims`` voxels, one X slab of ``den`` at a time."""
+    """float32 ``num / den`` over the first ``dims`` voxels, written over the front of ``num``'s buffer.
+
+    Output element ``i`` lands at byte ``4i`` and comes from the numerator
+    element at byte ``8j`` with ``j >= i``, because the crop only drops
+    voxels. Going one channel and one X slab at a time in ascending memory
+    order, through one float32 slab buffer, reads every numerator value
+    before it is overwritten. The result is a view that keeps ``num`` alive.
+    """
     dx, dy, dz = den_axes
-    out = np.empty((num.shape[0], *dims), dtype=np.float32)
+    channels = num.shape[0]
+    out = num.reshape(-1).view(np.float32)[:channels * int(np.prod(dims))].reshape(channels, *dims)
     den_yz = np.multiply.outer(dy[:dims[1]], dz[:dims[2]])
     step = min(dims[0], _slab_planes(dims[1], dims[2]))
     den = np.empty((step, dims[1], dims[2]))
-    for x0 in range(0, dims[0], step):
-        x1 = min(dims[0], x0 + step)
-        np.multiply(dx[x0:x1, None, None], den_yz, out=den[:x1 - x0])
-        np.divide(num[:, x0:x1, :dims[1], :dims[2]], den[:x1 - x0], out=out[:, x0:x1])
+    quotient = np.empty((step, dims[1], dims[2]), dtype=np.float32)
+    for c in range(channels):
+        for x0 in range(0, dims[0], step):
+            x1 = min(dims[0], x0 + step)
+            np.multiply(dx[x0:x1, None, None], den_yz, out=den[:x1 - x0])
+            np.divide(num[c, x0:x1, :dims[1], :dims[2]], den[:x1 - x0], out=quotient[:x1 - x0])
+            out[c, x0:x1] = quotient[:x1 - x0]
     return out
 
 

@@ -408,6 +408,27 @@ class TestInfer:
         assert code == 0
         assert read_nifti(out, as_mask=True).dims == (8, 8, 8)
 
+    @pytest.mark.parametrize("odd", [1, 3])
+    def test_task2_inputs_off_the_first_grid_are_read_input_error(self, tmp_path, capsys, odd):
+        # at 0.95 mm the odd input still resamples to 8^3 on the 1 mm working grid
+        rng = np.random.default_rng(6)
+        paths = [self.toy_volume(tmp_path, seed=6, name="mid.nii.gz"),
+                 self.toy_volume(tmp_path, seed=7, name="pre.nii.gz")]
+        for name in ("gtvp.nii.gz", "gtvn.nii.gz"):
+            mask = LabelMask(rng.integers(0, 2, size=(8, 8, 8)).astype(np.uint8), (1, 1, 1))
+            write_nifti(mask, tmp_path / name)
+            paths.append(str(tmp_path / name))
+        shifted = read_nifti(paths[odd], as_mask=odd == 3)
+        shifted.spacing = (0.95, 1.0, 1.0)
+        write_nifti(shifted, paths[odd])
+        out = tmp_path / "labels.nii.gz"
+        code = main(["infer", "--task", "task2", "--config", self.toy_config(tmp_path),
+                     "--weights", toy_weights(tmp_path, in_channels=4), "--output", str(out)] + paths)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "read-input" in err and paths[odd] in err and paths[0] in err and "0.95" in err
+        assert not out.exists()
+
     def test_wrong_input_count_is_data_error(self, tmp_path, capsys):
         scan = self.toy_volume(tmp_path)
         code = main(["infer", "--task", "task2", "--config", self.toy_config(tmp_path),

@@ -41,6 +41,17 @@ def mean_predictor(patch):
     return (e / e.sum(axis=0, keepdims=True)).astype(np.float32)
 
 
+def channel_predictor(channels, shift):
+    """Input-dependent toy predictor with ``channels`` softmax outputs."""
+    def predict(patch):
+        x = patch[0].astype(np.float64)
+        logits = np.stack([np.sin((c + 1) * x + shift) for c in range(channels)])
+        e = np.exp(logits - logits.max(axis=0, keepdims=True))
+        return (e / e.sum(axis=0, keepdims=True)).astype(np.float32)
+
+    return predict
+
+
 class TestWeightKernels:
     def test_gaussian_center_face_and_corner_values(self):
         kernel = gaussian_weight_kernel((9, 7, 5), edge_value=0.1)
@@ -305,6 +316,64 @@ class TestSlidingWindow:
             tracemalloc.stop()
         np.testing.assert_allclose(out.data, 1 / 3, rtol=1e-6)
         assert peak <= num + kernel + one_member + slab + normalized_patch + small, peak
+
+    @pytest.mark.parametrize("planes", [None, 1, 3])
+    def test_in_place_divide_matches_full_volume_division_bit_for_bit(self, monkeypatch, planes):
+        """The window's float32 result over its own numerator equals float32(num / den) of whole volumes."""
+        rng = np.random.default_rng(23)
+        cases = [((9, 7, 5), 1), ((3, 7, 5), 2), ((3, 2, 5), 3), ((2, 3, 1), 4), ((11, 6, 4), 3)]
+        for dims, channels in cases:
+            cfg = SlidingWindowConfig(patch_size=(4, 4, 4), stride=(3, 2, 4))
+            if planes is not None:
+                monkeypatch.setattr(inference, "_SLAB_BYTES", planes * 8 * dims[1] * dims[2])
+            vol = Volume3D(rng.normal(size=(1, *dims)).astype(np.float32), (1, 1, 1))
+            members = [channel_predictor(channels, shift) for shift in (0.0, 0.5)]
+            out = sliding_window_predict(vol, members, cfg)
+
+            work_dims = tuple(max(d, p) for d, p in zip(dims, cfg.patch_size))
+            data = np.pad(vol.data, [(0, 0)] + [(0, w - d) for w, d in zip(work_dims, dims)])
+            offsets = tile_offsets(work_dims, cfg)
+            kernel = gaussian_weight_kernel(cfg.patch_size)
+            num = np.zeros((channels, *work_dims))
+            for ox, oy, oz in offsets:
+                region = (slice(None), slice(ox, ox + 4), slice(oy, oy + 4), slice(oz, oz + 4))
+                tile = normalize_patchwise(data[region])
+                for member in members:
+                    num[region] += member(tile) * (kernel.weights / len(members))
+            dx, dy, dz = inference._axis_weight_sums(offsets, kernel, work_dims)
+            den = dx[:, None, None] * np.multiply.outer(dy, dz)
+            expected = (num / den)[:, :dims[0], :dims[1], :dims[2]].astype(np.float32)
+            assert out.data.shape == (channels, *dims)
+            assert out.data.tobytes() == expected.tobytes(), (dims, channels, planes)
+
+    def test_window_and_argmax_hold_no_float32_probability_volume(self, monkeypatch):
+        """tracemalloc peak of a 2-member window plus argmax on a volume 6x3 tiles wide."""
+        monkeypatch.setattr(inference, "_SLAB_BYTES", 64 << 10)
+        dims, patch = (192, 96, 16), (32, 32, 16)
+        vol = Volume3D(np.random.default_rng(24).normal(size=(1, *dims)).astype(np.float32), (1, 1, 1))
+        cfg = SlidingWindowConfig(patch_size=patch, stride=patch)
+
+        def member(patch):
+            return np.full((3, *patch.shape[1:]), 1 / 3, np.float32)
+
+        voxels, patch_voxels = int(np.prod(dims)), int(np.prod(patch))
+        num = 3 * voxels * 8
+        kernel = patch_voxels * 8
+        one_member = 3 * patch_voxels * 4
+        normalized_patch = patch_voxels * 4
+        slabs = 3 * (64 << 10)  # the blend's float64 slab, the divide's float64 den and float32 quotient
+        argmax = voxels * (4 + 1 + 1 + 1)  # float32 running maximum, uint8 labels, two bool masks
+        small = 128 << 10  # numpy's casting buffers (8192 elements) and Python objects
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            labels = argmax_labels(sliding_window_predict(vol, [member, member], cfg))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert labels.dims == dims
+        # a float32 probability volume (3 * voxels * 4 bytes) beside num would exceed this
+        assert peak <= num + kernel + one_member + normalized_patch + slabs + argmax + small, peak
 
 
 class TestEnsembleAndArgmax:
