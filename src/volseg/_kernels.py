@@ -1,14 +1,17 @@
 """Hot numeric kernels: 3D convolution and trilinear sampling, in numpy.
 
 The convolution is an im2col matrix product (Chellapilla et al. 2006). A
-kernel larger than 1x1x1 reads a zero-padded channels-last input, so each
-voxel's window is 9 contiguous runs of ``kz * cin`` floats; the windows of
-a few X planes are copied into the rows of one buffer, and a float32 GEMM
-``columns (voxels, k^3 * cin) @ W (k^3 * cin, cout)`` writes those planes'
-outputs channels-last. With one input channel those runs would be kz
-floats long, so the columns are copied K-major instead, one shifted slab
-per kernel tap, and the GEMM is ``columns.T @ W`` with the same
-channels-last output. A 1x1x1 kernel needs no copy: ``W @ X`` on the input
+kernel larger than 1x1x1 reads a zero-padded channels-last input. Each
+GEMM row is one output voxel and holds its (dx, dz * cin) window at its
+own y: kx contiguous runs of ``kz * cin`` floats. The ky taps sit side by
+side in the GEMM's N, so ``columns (voxels, kx*kz*cin) @ W (kx*kz*cin,
+ky*cout)`` gives T, and output voxel (x, y, z) is the sum over dy of T's
+row (x, y + dy - ky//2, z) in column block dy, written channels-last; a
+row past the Y edge would read only zero padding and is left out. The
+copy is a third of a full 27-tap window's, and N is three times cout.
+With one input channel the runs would be kz floats long, so the columns
+are copied K-major instead, one shifted slab per kernel tap, and the GEMM
+is ``columns.T @ W`` with the same channels-last output. A 1x1x1 kernel needs no copy: ``W @ X`` on the input
 as it is, which gives a channels-first output. Trilinear sampling is
 separable: one 1-D linear interpolation per axis, in float64.
 """
@@ -20,20 +23,24 @@ from numpy.lib.stride_tricks import as_strided
 # least one plane. The rule reads only the conv's shape, so every copy
 # budget issues the same GEMM calls and the output does not depend on it
 # (BLAS may round a matrix's rows differently for different row counts).
-_GEMM_BLOCK_BYTES = 4 << 20
+# Larger blocks run small grids' GEMMs a few percent faster, but OpenBLAS
+# keeps more of its buffer resident for a GEMM with more rows: 4 MB blocks
+# left infer-net's peak RSS about 4 MB higher than 1 MB blocks.
+_GEMM_BLOCK_BYTES = 1 << 20
 # Size of the im2col copy buffer: as many whole GEMM blocks as fit, and at
 # least one. It bounds the extra memory a conv needs beyond its input and
 # output (a whole-volume im2col of the paper's 320x320x64 patch would take
-# ~22 GB).
+# ~7.5 GB at 32 input channels).
 _IM2COL_CHUNK_BYTES = 8 << 20
 
 
 # ---------------------------------------------------------------------------
 # 3D cross-correlation on an already zero-padded input.
 # padded: (Cin, X+kx-1, Y+ky-1, Z+kz-1) float32, any memory order; it is
-#   read without a copy when stored channels-last, (X', Y', Z', Cin).
+#   read without a copy when stored channels-last, (X', Y', Z', Cin). Its Y
+#   padding must be zero: only the X and Z padding is read.
 # weights: (Cout, Cin, kx, ky, kz) float32, any memory order; read without a
-#   copy when stored as (Cout, kx, ky, kz, Cin).
+#   copy when stored as (kx, kz, Cin, ky, Cout), the GEMM operand.
 # returns: (Cout, X, Y, Z) float32, stored channels-last unless the kernel
 #   is 1x1x1.
 # ---------------------------------------------------------------------------
@@ -60,16 +67,18 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     sz = cin * sc
     sy = halo.shape[2] * sz
     sx = halo.shape[1] * sy
-    # rows ordered (dx, dy, dz, cin) to match the columns
-    w2d = weights.transpose(2, 3, 4, 1, 0).reshape(-1, cout)
-    rows = w2d.shape[0]
-    plane = ys * zs
-    gemm_planes = min(xs, max(1, _GEMM_BLOCK_BYTES // (4 * rows * plane)))
+    # rows (dx, dz, cin), columns (dy, cout)
+    w2d = weights.transpose(2, 4, 1, 3, 0).reshape(kx * kz * cin, ky * cout)
     if cin == 1:
-        # a window row would be 9 runs of kz floats, so the columns of one GEMM
+        # a window row would be runs of kz floats, so the columns of one GEMM
         # block are copied K-major instead: one shifted (n, Y, Z) slab per
-        # kernel tap, long Z runs, and the block is ``columns.T @ W``
-        taps = as_strided(halo, (kx, ky, kz, xs, ys, zs), (sx, sy, sz, sx, sy, sz), writeable=False)
+        # kernel tap, in W's row order (dx, dz, dy), and the block is
+        # ``columns.T @ W`` with N = cout
+        taps = as_strided(halo, (kx, kz, ky, xs, ys, zs), (sx, sz, sy, sx, sy, sz), writeable=False)
+        w2d = w2d.reshape(kx * kz * ky, cout)
+        rows = w2d.shape[0]
+        plane = ys * zs
+        gemm_planes = min(xs, max(1, _GEMM_BLOCK_BYTES // (4 * rows * plane)))
         # buffer before output, as below: the other order left infer-net's
         # peak RSS about 2 MB higher
         buf = np.empty(rows * gemm_planes * plane, dtype=np.float32)
@@ -77,29 +86,44 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
         out2d = out.reshape(xs * plane, cout)
         for x0 in range(0, xs, gemm_planes):
             n = min(gemm_planes, xs - x0)
-            cols = buf[:rows * n * plane].reshape(kx, ky, kz, n, ys, zs)
+            cols = buf[:rows * n * plane].reshape(kx, kz, ky, n, ys, zs)
             np.copyto(cols, taps[:, :, :, x0:x0 + n])
             np.matmul(cols.reshape(rows, n * plane).T, w2d, out=out2d[x0 * plane:(x0 + n) * plane])
         return out.transpose(3, 0, 1, 2)
 
-    # (X, Y, Z, kx, ky, kz * Cin) view of every kernel window, no copy: the
-    # innermost run covers the window's dz and channel axes at once
-    windows = as_strided(halo, (xs, ys, zs, kx, ky, kz * cin), (sx, sy, sz, sx, sy, sc),
-                         writeable=False)
+    # (X, Y, Z, kx, kz * Cin) view of every output voxel's window at its own
+    # y, no copy: the innermost run covers the window's dz and channel axes
+    py = ky // 2
+    windows = as_strided(halo[:, py:], (xs, ys, zs, kx, kz * cin), (sx, sy, sz, sx, sc), writeable=False)
+    rows = w2d.shape[0]
+    plane = ys * zs
+    gemm_planes = min(xs, max(1, _GEMM_BLOCK_BYTES // (4 * rows * plane)))
     chunk_planes = gemm_planes * max(1, _IM2COL_CHUNK_BYTES // (4 * rows * plane * gemm_planes))
     chunk_planes = min(xs, chunk_planes)
     buf = np.empty(chunk_planes * plane * rows, dtype=np.float32)
+    tbuf = np.empty(gemm_planes * plane * ky * cout, dtype=np.float32)
     out = np.empty((xs, ys, zs, cout), dtype=np.float32)
-    out2d = out.reshape(xs * plane, cout)
     for x0 in range(0, xs, chunk_planes):
         n = min(chunk_planes, xs - x0)
         cols = buf[:n * plane * rows]
-        np.copyto(cols.reshape(n, ys, zs, kx, ky, kz * cin), windows[x0:x0 + n])
+        np.copyto(cols.reshape(n, ys, zs, kx, kz * cin), windows[x0:x0 + n])
         cols = cols.reshape(n * plane, rows)
         for g0 in range(0, n, gemm_planes):
             g1 = min(n, g0 + gemm_planes)
-            np.matmul(cols[g0 * plane:g1 * plane], w2d,
-                      out=out2d[(x0 + g0) * plane:(x0 + g1) * plane])
+            t = tbuf[:(g1 - g0) * plane * ky * cout].reshape((g1 - g0) * plane, ky * cout)
+            np.matmul(cols[g0 * plane:g1 * plane], w2d, out=t)
+            t = t.reshape(g1 - g0, ys, zs, ky, cout)
+            block = out[x0 + g0:x0 + g1]
+            np.copyto(block, t[:, :, :, py])
+            for dy in range(ky):
+                # output row y takes tap dy from T's row y + s; rows past the
+                # edge would read only the zero padding
+                s = dy - py
+                n_rows = ys - abs(s)
+                if s == 0 or n_rows <= 0:
+                    continue
+                lo = max(0, -s)
+                block[:, lo:lo + n_rows] += t[:, lo + s:lo + s + n_rows, :, dy]
     return out.transpose(3, 0, 1, 2)
 
 

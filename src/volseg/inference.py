@@ -263,10 +263,11 @@ def argmax_labels(probs: Volume3D) -> LabelMask:
     p = probs.data
     best = p[0].copy()
     labels = np.zeros(best.shape, dtype=np.uint8)
+    better = np.empty(best.shape, dtype=bool)  # one mask, reused for every class
     for c in range(1, p.shape[0]):
-        better = p[c] > best  # strict, so a tie keeps the lower class
+        np.greater(p[c], best, out=better)  # strict, so a tie keeps the lower class
         labels[better] = c
         np.maximum(best, p[c], out=best)  # carries a NaN of any class into best
-    if np.isnan(best).any():
+    if np.isnan(best.max()):  # the maximum carries a NaN, with no mask of the volume's size
         raise ValueError("probabilities contain NaN")
     return LabelMask(labels, probs.spacing)

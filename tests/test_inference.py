@@ -362,7 +362,7 @@ class TestSlidingWindow:
         one_member = 3 * patch_voxels * 4
         normalized_patch = patch_voxels * 4
         slabs = 3 * (64 << 10)  # the blend's float64 slab, the divide's float64 den and float32 quotient
-        argmax = voxels * (4 + 1 + 1 + 1)  # float32 running maximum, uint8 labels, two bool masks
+        argmax = voxels * (4 + 1 + 1)  # float32 running maximum, uint8 labels, one bool mask
         small = 128 << 10  # numpy's casting buffers (8192 elements) and Python objects
         tracemalloc.start()
         try:
@@ -491,6 +491,23 @@ class TestEnsembleAndArgmax:
             values = [float(vol.data[c][idx]) for c in range(3)]
             best = max(range(3), key=lambda c: (values[c], -c))
             assert out.labels[idx] == best
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_argmax_memory_six_bytes_per_voxel(self, num_classes):
+        """float32 running maximum, uint8 labels and one bool mask reused for every class."""
+        dims = (128, 128, 64)  # 1M voxels
+        probs = np.random.default_rng(15).random((num_classes, *dims), dtype=np.float32)
+        vol = Volume3D(probs, (1, 1, 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = argmax_labels(vol)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out.labels, np.argmax(probs, axis=0))
+        # a second mask of the volume's size (NaN check, or a fresh mask per class) adds 1 byte per voxel
+        assert peak <= probs[0].size * 6 + (64 << 10), peak / probs[0].size
 
     def test_argmax_matches_numpy_argmax_with_ties(self):
         rng = np.random.default_rng(14)

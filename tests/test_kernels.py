@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,24 @@ def _conv_case(rng, cin, cout, k, dims):
     return x, padded, weights
 
 
+def _plane_bytes(cin, dims, k=3):
+    """Bytes of one X plane of columns: Y * Z rows of k*k*cin floats."""
+    return 4 * k * k * cin * dims[1] * dims[2]
+
+
+def _im2col(padded, weights):
+    """Every voxel's full window (dx, dy, dz, cin) as a row, and W to match."""
+    cout, cin, k = weights.shape[:3]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k, k), axis=(1, 2, 3))
+    cols = windows.transpose(1, 2, 3, 4, 5, 6, 0).reshape(-1, k ** 3 * cin)
+    return cols, weights.transpose(2, 3, 4, 1, 0).reshape(k ** 3 * cin, cout)
+
+
+def _stored(weights):
+    """``weights`` in the memory order load_weights gives a kxkxk kernel."""
+    return np.ascontiguousarray(weights.transpose(2, 4, 1, 3, 0)).transpose(4, 2, 0, 3, 1)
+
+
 class TestConv3dCore:
     @pytest.mark.parametrize("cin,cout,k,dims", [
         (1, 3, 3, (5, 4, 6)),
@@ -22,6 +42,14 @@ class TestConv3dCore:
         (2, 4, 3, (8, 2, 2)),
         (1, 2, 1, (3, 5, 4)),
         (5, 3, 1, (4, 2, 6)),
+        # Y = 1 and Y = 2 (every output row is at a Y edge), odd Z, and 2 to
+        # 5 input channels
+        (2, 3, 3, (3, 1, 5)),
+        (3, 2, 3, (4, 2, 3)),
+        (4, 5, 3, (2, 1, 1)),
+        (5, 2, 3, (3, 2, 7)),
+        (2, 4, 3, (1, 3, 5)),
+        (5, 3, 3, (2, 5, 3)),
     ])
     def test_matches_naive_oracle(self, cin, cout, k, dims):
         rng = np.random.default_rng(cin * 100 + cout * 10 + k)
@@ -44,16 +72,14 @@ class TestConv3dCore:
 
     @pytest.mark.parametrize("planes_per_chunk", [1, 2, 3])
     def test_chunked_equals_single_chunk(self, monkeypatch, planes_per_chunk):
-        # 7 X planes split into chunks of 1, 2 or 3 planes (the last one
-        # partial). Each chunk's column count (planes * Y * Z) is a multiple
-        # of 16, as in the default network (patch sides divisible by 32):
-        # BLAS kernels may round a matrix's trailing ragged columns differently.
+        # one-plane GEMM blocks over 7 X planes, copied in chunks of 1, 2 or
+        # 3 planes (the last one partial) or all 7 at once
         rng = np.random.default_rng(5)
         cin, cout, dims = 4, 8, (7, 4, 8)
         _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
+        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", _plane_bytes(cin, dims))
         whole = conv3d_core(padded, weights)
-        plane_bytes = 4 * cin * 27 * dims[1] * dims[2]
-        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", planes_per_chunk * plane_bytes)
+        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", planes_per_chunk * _plane_bytes(cin, dims))
         chunked = conv3d_core(padded, weights)
         np.testing.assert_array_equal(chunked, whole)
 
@@ -63,13 +89,14 @@ class TestConv3dCore:
     def test_ragged_chunks_equal_single_chunk(self, monkeypatch, cin, dims, planes_per_chunk):
         # Y * Z is not a multiple of 16 here, so BLAS may round some rows
         # differently when a GEMM has fewer rows: the copy budget must not
-        # change which rows each GEMM holds.
+        # change which rows each GEMM holds. GEMM blocks are one plane; the
+        # copy takes 1, 2 or 3 planes at a time, or every plane.
         rng = np.random.default_rng(cin * 1000 + dims[0] * 10 + planes_per_chunk)
         cout = cin + 1
         _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
-        whole = conv3d_core(padded, weights)  # the default budget holds every plane
-        plane_bytes = 4 * cin * 27 * dims[1] * dims[2]
-        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", planes_per_chunk * plane_bytes)
+        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", _plane_bytes(cin, dims))
+        whole = conv3d_core(padded, weights)  # the default copy budget holds every plane
+        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", planes_per_chunk * _plane_bytes(cin, dims))
         np.testing.assert_array_equal(conv3d_core(padded, weights), whole)
 
     @pytest.mark.parametrize("planes_per_chunk", [1, 2, 3, 10])
@@ -79,8 +106,9 @@ class TestConv3dCore:
         rng = np.random.default_rng(40 + planes_per_chunk)
         cin, cout, dims = 3, 4, (10, 7, 5)
         _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
-        plane_bytes = 4 * cin * 27 * dims[1] * dims[2]
+        plane_bytes = _plane_bytes(cin, dims)
         monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", plane_bytes)
+        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", plane_bytes)
         per_plane = conv3d_core(padded, weights)
         monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", planes_per_chunk * plane_bytes)
         np.testing.assert_array_equal(conv3d_core(padded, weights), per_plane)
@@ -99,6 +127,55 @@ class TestConv3dCore:
         assert out.shape == (6, *dims) and out.transpose(1, 2, 3, 0).flags.c_contiguous
         np.testing.assert_allclose(out, naive_conv3d(x, weights, np.zeros(6)), atol=1e-5)
 
+    def test_error_against_float64_no_worse_than_im2col(self):
+        # c32-32 at 16^3 with He-uniform weights, as in the network: the
+        # largest error against a float64 conv is at most that of one
+        # float32 GEMM over every voxel's full 27-tap window
+        rng = np.random.default_rng(90)
+        cin = cout = 32
+        dims = (16, 16, 16)
+        x = rng.normal(size=(cin, *dims)).astype(np.float32)
+        bound = np.sqrt(6.0 / (27 * cin))
+        weights = rng.uniform(-bound, bound, size=(cout, cin, 3, 3, 3)).astype(np.float32)
+        padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+        cols, w2d = _im2col(padded, weights)
+        exact = cols.astype(np.float64) @ w2d.astype(np.float64)
+        im2col_error = cols @ w2d - exact
+        out = conv3d_core(padded, _stored(weights)).transpose(1, 2, 3, 0).reshape(-1, cout)
+        error = out - exact
+        # about 3.6e-6 against 3.9e-6; the RMS error is about 18% lower
+        assert np.abs(error).max() <= np.abs(im2col_error).max()
+        assert np.sqrt(np.mean(error ** 2)) <= np.sqrt(np.mean(im2col_error ** 2))
+
+    def test_scratch_memory_is_output_plus_shape_fixed_buffers(self, monkeypatch):
+        # A channels-last input and weights in load_weights' order are read
+        # without a copy, so the kernel allocates only its output, one copy
+        # chunk of columns and one GEMM block's T. The slack holds numpy's
+        # iterator buffers (25 to 90 KB by shape, whatever the size); a copy
+        # of the weights (332 KB) or a second T (147 KB) would exceed it.
+        rng = np.random.default_rng(91)
+        cin, cout, dims = 32, 96, (10, 8, 8)
+        _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
+        padded = np.ascontiguousarray(padded.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        weights = _stored(weights)
+        plane_rows = dims[1] * dims[2]
+        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", 2 * _plane_bytes(cin, dims))
+        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", 4 * _plane_bytes(cin, dims))
+        cols, w2d = _im2col(padded, weights)
+        expected = (cols.astype(np.float64) @ w2d).reshape(*dims, cout).transpose(3, 0, 1, 2)
+        del cols, w2d
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv3d_core(padded, weights)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        columns = 4 * _plane_bytes(cin, dims)
+        t_block = 4 * 2 * plane_rows * 3 * cout
+        assert out.nbytes + columns <= peak <= out.nbytes + columns + t_block + (96 << 10), peak
+        np.testing.assert_allclose(out, expected, atol=1e-4)
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_memory_order_of_inputs_and_output(self, k):
         # any input and weight order gives the same values; the output is
@@ -109,7 +186,7 @@ class TestConv3dCore:
         padded_last = np.ascontiguousarray(padded.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
         weights_last = np.ascontiguousarray(weights.transpose(0, 2, 3, 4, 1)).transpose(0, 4, 1, 2, 3)
         for p in (padded, padded_last):
-            for w in (weights, weights_last):
+            for w in (weights, weights_last, _stored(weights)):
                 out = conv3d_core(p, w)
                 np.testing.assert_array_equal(out, expected)
                 if k == 3:

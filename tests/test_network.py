@@ -89,6 +89,13 @@ class TestConv3d:
         out = conv3d(x, w, b)
         np.testing.assert_allclose(out, naive_conv3d(x, w, b), atol=1e-5)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_no_bias_adds_nothing(self, k):
+        rng = np.random.default_rng(2 + k)
+        x = rng.normal(size=(2, 4, 5, 3)).astype(np.float32)
+        w = rng.normal(size=(3, 2, k, k, k)).astype(np.float32)
+        np.testing.assert_array_equal(conv3d(x, w, None), conv3d(x, w, np.zeros(3, np.float32)))
+
     def test_rejects_even_kernel_and_bad_shapes(self):
         x = np.zeros((1, 4, 4, 4), np.float32)
         with pytest.raises(ValueError, match="odd"):
@@ -242,6 +249,34 @@ class TestForward:
         probs = forward(model, x)
         expected = naive_forward_two_stage(model, x)
         np.testing.assert_allclose(probs, expected, atol=1e-4)
+
+    def test_biases_cancelled_by_instance_norm_are_skipped(self):
+        # 27 of the default network's 28 convs feed an instance norm, which
+        # subtracts each channel's mean: redrawing their biases leaves the
+        # output bit-identical; the final conv's bias is still added
+        model = build_unet(NetworkConfig(), init_seed=0)
+        x = np.random.default_rng(16).normal(size=(1, 32, 32, 32)).astype(np.float32)
+        expected = forward(model, x)
+        layers = model.layers
+        normed = [lay for lay, nxt in zip(layers, layers[1:])
+                  if lay.kind == "conv" and nxt.kind == "instance_norm"]
+        assert len(normed) == 27 and sum(lay.kind == "conv" for lay in layers) == 28
+        rng = np.random.default_rng(17)
+        for lay in normed:
+            lay.bias = rng.normal(size=lay.cout).astype(np.float32)
+        np.testing.assert_array_equal(forward(model, x), expected)
+        layers[-2].bias = np.array([0.0, 1.0, -1.0], np.float32)
+        assert not np.array_equal(forward(model, x), expected)
+
+    def test_toy_model_with_biases_matches_naive_oracle(self):
+        # the oracle adds every conv bias and norm beta
+        model = build_unet(TOY, init_seed=8)
+        rng = np.random.default_rng(18)
+        for lay in model.layers:
+            if lay.bias is not None:
+                lay.bias = rng.normal(size=lay.cout).astype(np.float32)
+        x = np.random.default_rng(9).normal(size=(1, 4, 4, 4)).astype(np.float32)
+        np.testing.assert_allclose(forward(model, x), naive_forward_two_stage(model, x), atol=1e-4)
 
     def test_forward_is_deterministic(self):
         model = build_unet(TOY, init_seed=10)
@@ -446,7 +481,8 @@ class TestLayouts:
         for lay in load_weights(path, TOY).layers:
             if lay.kind == "conv":
                 assert lay.weights.shape == (lay.cout, lay.cin, *lay.kernel)
-                order = (0, 2, 3, 4, 1) if lay.kernel == (3, 3, 3) else (0, 1, 2, 3, 4)
+                # a 3x3x3 weight is stored (kx, kz, cin, ky, cout): the GEMM operand
+                order = (2, 4, 1, 3, 0) if lay.kernel == (3, 3, 3) else (0, 1, 2, 3, 4)
                 assert lay.weights.transpose(order).flags.c_contiguous
             if lay.bias is not None:
                 assert lay.bias.flags.owndata  # not a view that keeps the payload alive
