@@ -9,10 +9,13 @@ ky*cout)`` gives T, and output voxel (x, y, z) is the sum over dy of T's
 row (x, y + dy - ky//2, z) in column block dy, written channels-last; a
 row past the Y edge would read only zero padding and is left out. The
 copy is a third of a full 27-tap window's, and N is three times cout.
-With one input channel the runs would be kz floats long, so the columns
-are copied K-major instead, one shifted slab per kernel tap, and the GEMM
-is ``columns.T @ W`` with the same channels-last output. A 1x1x1 kernel needs no copy: ``W @ X`` on the input
-as it is, which gives a channels-first output. Trilinear sampling is
+The GEMM runs over blocks of whole X planes, and each block's columns are
+copied into one reused buffer just before its GEMM, so the copy never
+holds more than one block. With one input channel the runs would be kz
+floats long, so the columns are copied K-major instead, one shifted slab
+per kernel tap, and the GEMM is ``columns.T @ W`` with the same
+channels-last output. A 1x1x1 kernel needs no copy: ``W @ X`` on the
+input as it is, which gives a channels-first output. Trilinear sampling is
 separable: one 1-D linear interpolation per axis, in float64.
 """
 
@@ -20,18 +23,16 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 # Rows of one GEMM: whole X planes, about this many bytes of columns and at
-# least one plane. The rule reads only the conv's shape, so every copy
-# budget issues the same GEMM calls and the output does not depend on it
-# (BLAS may round a matrix's rows differently for different row counts).
-# Larger blocks run small grids' GEMMs a few percent faster, but OpenBLAS
-# keeps more of its buffer resident for a GEMM with more rows: 4 MB blocks
-# left infer-net's peak RSS about 4 MB higher than 1 MB blocks.
+# least one plane. The rule reads only the conv's shape, so the GEMM calls,
+# and the output bits, do not depend on anything else (BLAS may round a
+# matrix's rows differently for different row counts). Each block's columns
+# are copied just before its GEMM, so one block of columns and its T are
+# the only memory a conv needs beyond its input and output (a whole-volume
+# im2col of the paper's 320x320x64 patch would take ~7.5 GB at 32 input
+# channels). Larger blocks run small grids' GEMMs a few percent faster, but
+# OpenBLAS keeps more of its buffer resident for a GEMM with more rows: 4
+# MB blocks left infer-net's peak RSS about 4 MB higher than 1 MB blocks.
 _GEMM_BLOCK_BYTES = 1 << 20
-# Size of the im2col copy buffer: as many whole GEMM blocks as fit, and at
-# least one. It bounds the extra memory a conv needs beyond its input and
-# output (a whole-volume im2col of the paper's 320x320x64 patch would take
-# ~7.5 GB at 32 input channels).
-_IM2COL_CHUNK_BYTES = 8 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -98,32 +99,27 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     rows = w2d.shape[0]
     plane = ys * zs
     gemm_planes = min(xs, max(1, _GEMM_BLOCK_BYTES // (4 * rows * plane)))
-    chunk_planes = gemm_planes * max(1, _IM2COL_CHUNK_BYTES // (4 * rows * plane * gemm_planes))
-    chunk_planes = min(xs, chunk_planes)
-    buf = np.empty(chunk_planes * plane * rows, dtype=np.float32)
+    buf = np.empty(gemm_planes * plane * rows, dtype=np.float32)
     tbuf = np.empty(gemm_planes * plane * ky * cout, dtype=np.float32)
     out = np.empty((xs, ys, zs, cout), dtype=np.float32)
-    for x0 in range(0, xs, chunk_planes):
-        n = min(chunk_planes, xs - x0)
+    for x0 in range(0, xs, gemm_planes):
+        n = min(gemm_planes, xs - x0)
         cols = buf[:n * plane * rows]
         np.copyto(cols.reshape(n, ys, zs, kx, kz * cin), windows[x0:x0 + n])
-        cols = cols.reshape(n * plane, rows)
-        for g0 in range(0, n, gemm_planes):
-            g1 = min(n, g0 + gemm_planes)
-            t = tbuf[:(g1 - g0) * plane * ky * cout].reshape((g1 - g0) * plane, ky * cout)
-            np.matmul(cols[g0 * plane:g1 * plane], w2d, out=t)
-            t = t.reshape(g1 - g0, ys, zs, ky, cout)
-            block = out[x0 + g0:x0 + g1]
-            np.copyto(block, t[:, :, :, py])
-            for dy in range(ky):
-                # output row y takes tap dy from T's row y + s; rows past the
-                # edge would read only the zero padding
-                s = dy - py
-                n_rows = ys - abs(s)
-                if s == 0 or n_rows <= 0:
-                    continue
-                lo = max(0, -s)
-                block[:, lo:lo + n_rows] += t[:, lo + s:lo + s + n_rows, :, dy]
+        t = tbuf[:n * plane * ky * cout].reshape(n * plane, ky * cout)
+        np.matmul(cols.reshape(n * plane, rows), w2d, out=t)
+        t = t.reshape(n, ys, zs, ky, cout)
+        block = out[x0:x0 + n]
+        np.copyto(block, t[:, :, :, py])
+        for dy in range(ky):
+            # output row y takes tap dy from T's row y + s; rows past the
+            # edge would read only the zero padding
+            s = dy - py
+            n_rows = ys - abs(s)
+            if s == 0 or n_rows <= 0:
+                continue
+            lo = max(0, -s)
+            block[:, lo:lo + n_rows] += t[:, lo + s:lo + s + n_rows, :, dy]
     return out.transpose(3, 0, 1, 2)
 
 

@@ -19,16 +19,21 @@ a stack: each max pool pushes its input, and each upsample pops the
 innermost skip and concatenates it after the upsampled features.
 
 Memory order is chosen by kernel size; logical shapes never change. A conv
-with a kernel larger than 1x1x1 copies its input into a channels-last
-buffer with a zero halo and returns its output channels-last: an array of
-shape (C, X, Y, Z) whose memory is (X, Y, Z, C), ``out.transpose(3, 0, 1,
-2)`` of a C-contiguous array. A 1x1x1 conv reads either order and returns
+with a kernel larger than 1x1x1 reads its input from a ``halo_buffer``: a
+channels-last buffer with a zero border of the kernel's reach. In
+``forward`` the layer that makes the conv's input (a ReLU, max pool or
+upsample + concat) writes it straight into that buffer's interior, so the
+conv copies nothing; called on its own, ``conv3d`` copies its input into a
+new one. Such a conv returns its output channels-last: an array of shape
+(C, X, Y, Z) whose memory is (X, Y, Z, C), ``out.transpose(3, 0, 1, 2)``
+of a C-contiguous array. A 1x1x1 conv reads either order and returns
 channels-first. Instance norm, ReLU, pooling, upsampling, concatenation and
-softmax keep the memory order they are given, so the network's output,
-whose last conv is 1x1x1, is channels-first. ``load_weights`` stores each
-conv weight with a kernel larger than 1x1x1 in memory order (kx, kz, cin,
-ky, cout), the kernel's GEMM operand without a copy; ``weights.shape``
-stays (cout, cin, kx, ky, kz).
+softmax keep the memory order they are given unless they write into a
+halo, so the network's output, whose last conv is 1x1x1, is
+channels-first. ``load_weights`` stores each conv weight with a kernel
+larger than 1x1x1 in memory order (kx, kz, cin, ky, cout), the kernel's
+GEMM operand without a copy; ``weights.shape`` stays (cout, cin, kx, ky,
+kz).
 
 Every conv but the last feeds an instance norm, which subtracts each
 channel's mean and so cancels a per-channel bias; ``forward`` skips those
@@ -170,12 +175,35 @@ def count_parameters(model: Model) -> int:
 # primitive ops
 # ---------------------------------------------------------------------------
 
-def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray | None) -> Tensor4D:
+def halo_buffer(c: int, dims, pad) -> tuple[Tensor4D, Tensor4D]:
+    """A zero-bordered channels-last buffer for a conv's input, and its interior.
+
+    Returns ``(halo, interior)``: ``halo`` has logical shape (c, X + 2px,
+    Y + 2py, Z + 2pz), stored (X', Y', Z', c), and ``interior`` is its
+    (c, X, Y, Z) view inside the border. Only the six border faces are
+    zeroed; the interior is left for the caller to write.
+    """
+    (xs, ys, zs), (px, py, pz) = dims, pad
+    buf = np.empty((xs + 2 * px, ys + 2 * py, zs + 2 * pz, c), dtype=np.float32)
+    buf[:px] = 0
+    buf[px + xs:] = 0
+    buf[:, :py] = 0
+    buf[:, py + ys:] = 0
+    buf[:, :, :pz] = 0
+    buf[:, :, pz + zs:] = 0
+    halo = buf.transpose(3, 0, 1, 2)
+    return halo, halo[:, px:px + xs, py:py + ys, pz:pz + zs]
+
+
+def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray | None,
+           halo: Tensor4D | None = None) -> Tensor4D:
     """Zero-padded cross-correlation preserving spatial dims.
 
-    A kernel larger than 1x1x1 returns its output channels-last (see the
-    module docstring); a 1x1x1 kernel returns it channels-first. A ``bias``
-    of None adds nothing.
+    A kernel larger than 1x1x1 reads its input from a ``halo_buffer`` of
+    the kernel's reach: ``halo`` when given, whose interior ``x`` must be,
+    else a new one that ``x`` is copied into. It returns its output
+    channels-last (see the module docstring); a 1x1x1 kernel returns it
+    channels-first. A ``bias`` of None adds nothing.
     """
     cout, cin, kx, ky, kz = weights.shape
     if any(k % 2 == 0 for k in (kx, ky, kz)):
@@ -184,14 +212,16 @@ def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray | None) -> Tensor4
         raise ValueError(f"input has {x.shape[0]} channels, weights expect {cin}")
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"bias shape {bias.shape} does not match {cout} output channels")
-    px, py, pz = kx // 2, ky // 2, kz // 2
+    pad = (kx // 2, ky // 2, kz // 2)
     x = x.astype(np.float32, copy=False)
-    if px or py or pz:
-        # the input, channels-last, inside a zero halo of the kernel's reach
-        _, xs, ys, zs = x.shape
-        halo = np.zeros((xs + 2 * px, ys + 2 * py, zs + 2 * pz, cin), dtype=np.float32)
-        halo[px:px + xs, py:py + ys, pz:pz + zs] = x.transpose(1, 2, 3, 0)
-        x = halo.transpose(3, 0, 1, 2)
+    if halo is None and any(pad):
+        halo, interior = halo_buffer(cin, x.shape[1:], pad)
+        interior[...] = x
+    if halo is not None:
+        expected = (cin, *(d + 2 * p for d, p in zip(x.shape[1:], pad)))
+        if halo.shape != expected:
+            raise ValueError(f"halo shape {halo.shape} does not match the padded input {expected}")
+        x = halo
     out = conv3d_core(x, weights.astype(np.float32, copy=False))
     if bias is not None:
         out += bias[:, None, None, None]
@@ -259,13 +289,14 @@ def relu(x: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
     return np.maximum(x, np.float32(0.0), out=out)
 
 
-def max_pool_2x(x: Tensor4D) -> Tensor4D:
+def max_pool_2x(x: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
+    """Max over each 2x2x2 block, into ``out`` of any memory order (default: x's)."""
     c, xs, ys, zs = x.shape
     if xs % 2 or ys % 2 or zs % 2:
         raise ValueError(f"spatial dims {(xs, ys, zs)} must be even for 2x pooling")
     x = np.maximum(x[:, 0::2], x[:, 1::2])
     x = np.maximum(x[:, :, 0::2], x[:, :, 1::2])
-    return np.maximum(x[:, :, :, 0::2], x[:, :, :, 1::2])
+    return np.maximum(x[:, :, :, 0::2], x[:, :, :, 1::2], out=out)
 
 
 def nearest_upsample_2x(x: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
@@ -288,14 +319,15 @@ def softmax_channels(x: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
     return e
 
 
-def _upsample_concat(x: Tensor4D, skip: Tensor4D) -> Tensor4D:
-    """[upsampled x, skip] along channels, in the skip's memory order.
+def _upsample_concat(x: Tensor4D, skip: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
+    """[upsampled x, skip] along channels, into ``out`` (default: the skip's memory order).
 
     The upsample writes its half in place, so a channels-first ``x`` meets
     a channels-last skip without a transposing copy of the whole result.
     """
     c = x.shape[0]
-    out = np.empty_like(skip, shape=(c + skip.shape[0], *skip.shape[1:]))
+    if out is None:
+        out = np.empty_like(skip, shape=(c + skip.shape[0], *skip.shape[1:]))
     nearest_upsample_2x(x, out=out[:c])
     out[c:] = skip
     return out
@@ -305,13 +337,22 @@ def _upsample_concat(x: Tensor4D, skip: Tensor4D) -> Tensor4D:
 # forward pass
 # ---------------------------------------------------------------------------
 
+def _input_buffer(consumer: Layer, dims) -> tuple[Tensor4D | None, Tensor4D | None]:
+    """``halo_buffer(...)`` for ``consumer``'s input when it is a conv larger than 1x1x1, else Nones."""
+    if consumer.kind != "conv" or consumer.kernel == (1, 1, 1):
+        return None, None
+    return halo_buffer(consumer.cin, dims, tuple(k // 2 for k in consumer.kernel))
+
+
 def forward(model: Model, x: Tensor4D) -> Tensor4D:
     """Run the network; returns (num_classes, X, Y, Z) channel probabilities.
 
     Walks ``model.layers`` in order. The ops are looked up in this module's
     namespace at each call, so a wrapper installed on the module sees them.
     A conv followed by instance norm skips its bias: the norm subtracts each
-    channel's mean, which cancels it.
+    channel's mean, which cancels it. A layer whose output feeds a conv
+    larger than 1x1x1 writes it into that conv's ``halo_buffer``; the conv
+    gets the interior as ``x`` and the buffer as ``halo``.
     """
     cfg = model.config
     x = np.asarray(x, dtype=np.float32)
@@ -323,19 +364,24 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
 
     skips = []
     layers = model.layers
+    halo = out = None
     for i, lay in enumerate(layers):
         if lay.kind == "conv":
             normed = i + 1 < len(layers) and layers[i + 1].kind == "instance_norm"
-            x = conv3d(x, lay.weights, None if normed else lay.bias)
+            x = conv3d(x, lay.weights, None if normed else lay.bias, halo=halo)
+            halo = out = None  # the input buffer's last reader is done
         elif lay.kind == "instance_norm":
             x = instance_norm(x, lay.weights, lay.bias, out=x)  # always a conv's fresh output
         elif lay.kind == "relu":
-            x = relu(x, out=x)
+            halo, out = _input_buffer(layers[i + 1], x.shape[1:])
+            x = relu(x, out=x if out is None else out)
         elif lay.kind == "max_pool":
             skips.append(x)
-            x = max_pool_2x(x)
+            halo, out = _input_buffer(layers[i + 1], [d // 2 for d in x.shape[1:]])
+            x = max_pool_2x(x, out=out)
         elif lay.kind == "upsample":
-            x = _upsample_concat(x, skips.pop())
+            halo, out = _input_buffer(layers[i + 1], skips[-1].shape[1:])
+            x = _upsample_concat(x, skips.pop(), out=out)
         elif lay.kind == "softmax":
             x = softmax_channels(x, out=x)
     return x

@@ -5,6 +5,7 @@ import pytest
 
 from volseg import _kernels
 from volseg._kernels import conv3d_core, trilinear_core
+from volseg.network import conv3d, halo_buffer
 
 from oracles import naive_conv3d, trilinear_eight_corner
 
@@ -18,8 +19,8 @@ def _conv_case(rng, cin, cout, k, dims):
 
 
 def _plane_bytes(cin, dims, k=3):
-    """Bytes of one X plane of columns: Y * Z rows of k*k*cin floats."""
-    return 4 * k * k * cin * dims[1] * dims[2]
+    """Bytes of one X plane of columns: Y * Z rows of k*k*cin floats (k**3 taps with one channel)."""
+    return 4 * (k ** 3 if cin == 1 else k * k * cin) * dims[1] * dims[2]
 
 
 def _im2col(padded, weights):
@@ -35,22 +36,25 @@ def _stored(weights):
     return np.ascontiguousarray(weights.transpose(2, 4, 1, 3, 0)).transpose(4, 2, 0, 3, 1)
 
 
+ORACLE_CASES = [
+    (1, 3, 3, (5, 4, 6)),
+    (3, 2, 3, (4, 6, 3)),
+    (2, 4, 3, (8, 2, 2)),
+    (1, 2, 1, (3, 5, 4)),
+    (5, 3, 1, (4, 2, 6)),
+    # Y = 1 and Y = 2 (every output row is at a Y edge), odd Z, and 2 to
+    # 5 input channels
+    (2, 3, 3, (3, 1, 5)),
+    (3, 2, 3, (4, 2, 3)),
+    (4, 5, 3, (2, 1, 1)),
+    (5, 2, 3, (3, 2, 7)),
+    (2, 4, 3, (1, 3, 5)),
+    (5, 3, 3, (2, 5, 3)),
+]
+
+
 class TestConv3dCore:
-    @pytest.mark.parametrize("cin,cout,k,dims", [
-        (1, 3, 3, (5, 4, 6)),
-        (3, 2, 3, (4, 6, 3)),
-        (2, 4, 3, (8, 2, 2)),
-        (1, 2, 1, (3, 5, 4)),
-        (5, 3, 1, (4, 2, 6)),
-        # Y = 1 and Y = 2 (every output row is at a Y edge), odd Z, and 2 to
-        # 5 input channels
-        (2, 3, 3, (3, 1, 5)),
-        (3, 2, 3, (4, 2, 3)),
-        (4, 5, 3, (2, 1, 1)),
-        (5, 2, 3, (3, 2, 7)),
-        (2, 4, 3, (1, 3, 5)),
-        (5, 3, 3, (2, 5, 3)),
-    ])
+    @pytest.mark.parametrize("cin,cout,k,dims", ORACLE_CASES)
     def test_matches_naive_oracle(self, cin, cout, k, dims):
         rng = np.random.default_rng(cin * 100 + cout * 10 + k)
         x, padded, weights = _conv_case(rng, cin, cout, k, dims)
@@ -70,50 +74,48 @@ class TestConv3dCore:
         np.testing.assert_array_equal(out, gemm)
         np.testing.assert_allclose(out, naive_conv3d(x, weights, np.zeros(cout)), atol=1e-5)
 
-    @pytest.mark.parametrize("planes_per_chunk", [1, 2, 3])
-    def test_chunked_equals_single_chunk(self, monkeypatch, planes_per_chunk):
-        # one-plane GEMM blocks over 7 X planes, copied in chunks of 1, 2 or
-        # 3 planes (the last one partial) or all 7 at once
+    # Each GEMM block's columns are copied just before its GEMM. The next
+    # three tests shrink the block to 1, 2, 3 or all X planes, so a conv
+    # runs several blocks with a ragged last one, and check every output
+    # plane against the oracle. Their names are kept from the separate copy
+    # chunk these cases were written for.
+
+    @pytest.mark.parametrize("block_planes", [1, 2, 3])
+    def test_chunked_equals_single_chunk(self, monkeypatch, block_planes):
+        # 7 X planes in blocks of 1, 2 or 3 planes (the last one partial)
         rng = np.random.default_rng(5)
         cin, cout, dims = 4, 8, (7, 4, 8)
-        _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
-        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", _plane_bytes(cin, dims))
-        whole = conv3d_core(padded, weights)
-        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", planes_per_chunk * _plane_bytes(cin, dims))
-        chunked = conv3d_core(padded, weights)
-        np.testing.assert_array_equal(chunked, whole)
+        x, padded, weights = _conv_case(rng, cin, cout, 3, dims)
+        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", block_planes * _plane_bytes(cin, dims))
+        np.testing.assert_allclose(conv3d_core(padded, weights),
+                                   naive_conv3d(x, weights, np.zeros(cout)), atol=1e-5)
 
-    @pytest.mark.parametrize("planes_per_chunk", [1, 2, 3])
+    @pytest.mark.parametrize("block_planes", [1, 2, 3])
     @pytest.mark.parametrize("dims", [(6, 5, 4), (9, 7, 5), (10, 7, 5)])
     @pytest.mark.parametrize("cin", [1, 2, 3, 4])
-    def test_ragged_chunks_equal_single_chunk(self, monkeypatch, cin, dims, planes_per_chunk):
-        # Y * Z is not a multiple of 16 here, so BLAS may round some rows
-        # differently when a GEMM has fewer rows: the copy budget must not
-        # change which rows each GEMM holds. GEMM blocks are one plane; the
-        # copy takes 1, 2 or 3 planes at a time, or every plane.
-        rng = np.random.default_rng(cin * 1000 + dims[0] * 10 + planes_per_chunk)
+    def test_ragged_chunks_equal_single_chunk(self, monkeypatch, cin, dims, block_planes):
+        # Y * Z is not a multiple of 16 here, and X is not always a multiple
+        # of the block: both the channels-last and the K-major (cin = 1)
+        # copies run ragged multi-plane blocks
+        rng = np.random.default_rng(cin * 1000 + dims[0] * 10 + block_planes)
         cout = cin + 1
-        _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
-        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", _plane_bytes(cin, dims))
-        whole = conv3d_core(padded, weights)  # the default copy budget holds every plane
-        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", planes_per_chunk * _plane_bytes(cin, dims))
-        np.testing.assert_array_equal(conv3d_core(padded, weights), whole)
+        x, padded, weights = _conv_case(rng, cin, cout, 3, dims)
+        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", block_planes * _plane_bytes(cin, dims))
+        out = conv3d_core(padded, weights)
+        assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+        np.testing.assert_allclose(out, naive_conv3d(x, weights, np.zeros(cout)), atol=1e-5)
 
-    @pytest.mark.parametrize("planes_per_chunk", [1, 2, 3, 10])
-    def test_copy_chunk_of_several_gemm_blocks_equals_one_block(self, monkeypatch, planes_per_chunk):
-        # one-plane GEMM blocks: a copy chunk holding 1, 2, 3 or all of them
-        # issues the same GEMMs
-        rng = np.random.default_rng(40 + planes_per_chunk)
+    @pytest.mark.parametrize("block_planes", [1, 2, 3, 10])
+    def test_copy_chunk_of_several_gemm_blocks_equals_one_block(self, monkeypatch, block_planes):
+        # a channels-last input, read without a copy, and weights in
+        # load_weights' order, in blocks of 1, 2, 3 or all 10 planes
+        rng = np.random.default_rng(40 + block_planes)
         cin, cout, dims = 3, 4, (10, 7, 5)
-        _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
-        plane_bytes = _plane_bytes(cin, dims)
-        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", plane_bytes)
-        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", plane_bytes)
-        per_plane = conv3d_core(padded, weights)
-        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", planes_per_chunk * plane_bytes)
-        np.testing.assert_array_equal(conv3d_core(padded, weights), per_plane)
-        np.testing.assert_allclose(per_plane, naive_conv3d(padded[:, 1:-1, 1:-1, 1:-1], weights,
-                                                           np.zeros(cout)), atol=1e-5)
+        x, padded, weights = _conv_case(rng, cin, cout, 3, dims)
+        padded = np.ascontiguousarray(padded.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", block_planes * _plane_bytes(cin, dims))
+        np.testing.assert_allclose(conv3d_core(padded, _stored(weights)),
+                                   naive_conv3d(x, weights, np.zeros(cout)), atol=1e-5)
 
     @pytest.mark.parametrize("block_planes", [1, 2, 3, 10])
     def test_single_input_channel_k_major_blocks(self, monkeypatch, block_planes):
@@ -149,10 +151,11 @@ class TestConv3dCore:
 
     def test_scratch_memory_is_output_plus_shape_fixed_buffers(self, monkeypatch):
         # A channels-last input and weights in load_weights' order are read
-        # without a copy, so the kernel allocates only its output, one copy
-        # chunk of columns and one GEMM block's T. The slack holds numpy's
+        # without a copy, so the kernel allocates only its output, one GEMM
+        # block of columns and that block's T. The slack holds numpy's
         # iterator buffers (25 to 90 KB by shape, whatever the size); a copy
-        # of the weights (332 KB) or a second T (147 KB) would exceed it.
+        # of the weights (332 KB), a second T (147 KB) or a second block of
+        # columns (147 KB) would exceed it.
         rng = np.random.default_rng(91)
         cin, cout, dims = 32, 96, (10, 8, 8)
         _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
@@ -160,7 +163,6 @@ class TestConv3dCore:
         weights = _stored(weights)
         plane_rows = dims[1] * dims[2]
         monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", 2 * _plane_bytes(cin, dims))
-        monkeypatch.setattr(_kernels, "_IM2COL_CHUNK_BYTES", 4 * _plane_bytes(cin, dims))
         cols, w2d = _im2col(padded, weights)
         expected = (cols.astype(np.float64) @ w2d).reshape(*dims, cout).transpose(3, 0, 1, 2)
         del cols, w2d
@@ -171,9 +173,9 @@ class TestConv3dCore:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        columns = 4 * _plane_bytes(cin, dims)
+        columns = 2 * _plane_bytes(cin, dims)
         t_block = 4 * 2 * plane_rows * 3 * cout
-        assert out.nbytes + columns <= peak <= out.nbytes + columns + t_block + (96 << 10), peak
+        assert out.nbytes + columns + t_block <= peak <= out.nbytes + columns + t_block + (96 << 10), peak
         np.testing.assert_allclose(out, expected, atol=1e-4)
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -194,6 +196,40 @@ class TestConv3dCore:
                 else:
                     assert out.flags.c_contiguous
         np.testing.assert_allclose(expected, naive_conv3d(x, weights, np.zeros(4)), atol=1e-5)
+
+
+class TestHaloBuffer:
+    @pytest.mark.parametrize("cin,cout,k,dims", ORACLE_CASES)
+    def test_conv3d_on_a_written_halo_equals_its_own_copy(self, cin, cout, k, dims):
+        # the input written into a halo_buffer's interior, as forward's
+        # producers do, gives the same bits as conv3d padding it itself
+        rng = np.random.default_rng(cin * 100 + cout * 10 + k + 1)
+        x, _, weights = _conv_case(rng, cin, cout, k, dims)
+        bias = rng.normal(size=cout).astype(np.float32)
+        halo, interior = halo_buffer(cin, dims, (k // 2,) * 3)
+        interior[...] = x
+        out = conv3d(interior, weights, bias, halo=halo)
+        np.testing.assert_array_equal(out, conv3d(x, weights, bias))
+        np.testing.assert_allclose(out, naive_conv3d(x, weights, bias), atol=1e-5)
+
+    def test_conv3d_rejects_a_halo_of_the_wrong_shape(self):
+        x = np.zeros((2, 4, 4, 4), np.float32)
+        halo, _ = halo_buffer(2, (4, 4, 3), (1, 1, 1))
+        with pytest.raises(ValueError, match="halo"):
+            conv3d(x, np.zeros((1, 2, 3, 3, 3), np.float32), None, halo=halo)
+
+    @pytest.mark.parametrize("dims,pad", [((3, 4, 5), (1, 1, 1)), ((2, 1, 3), (1, 0, 2)), ((1, 2, 1), (0, 1, 0))])
+    def test_six_faces_are_zero_and_interior_is_untouched(self, monkeypatch, dims, pad):
+        # memory from np.empty is filled with NaN here, so a face the
+        # helper does not zero keeps its NaN
+        monkeypatch.setattr(np, "empty", lambda shape, dtype: np.full(shape, np.nan, dtype))
+        halo, interior = halo_buffer(3, dims, pad)
+        assert halo.shape == (3, *(d + 2 * p for d, p in zip(dims, pad)))
+        assert halo.transpose(1, 2, 3, 0).flags.c_contiguous and interior.shape == (3, *dims)
+        assert np.isnan(interior).all()
+        border = ~np.isnan(halo)
+        assert border.sum() == halo.size - interior.size
+        assert not halo[border].any()
 
 
 class TestTrilinearCore:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,40 @@ class TestForward:
         x = np.random.default_rng(9).normal(size=(1, 4, 4, 4)).astype(np.float32)
         np.testing.assert_allclose(forward(model, x), naive_forward_two_stage(model, x), atol=1e-4)
 
+    @pytest.mark.parametrize("kernel_plan", [(3, 3, 1, 1), (1, 3, 3, 1)])
+    def test_producer_written_halos_equal_convs_padding_their_own_input(self, monkeypatch, kernel_plan):
+        # 3x3x3 and 1x1x1 stages, random conv biases and norm affines: the
+        # forward whose ReLU, pool and concat write the next conv's halo
+        # gives the bits of one whose every conv pads its own input
+        cfg = NetworkConfig(in_channels=2, base_width=4, num_stages=4, kernel_plan=kernel_plan)
+        model = build_unet(cfg, init_seed=19)
+        rng = np.random.default_rng(20)
+        for lay in model.layers:
+            if lay.bias is not None:
+                lay.bias = rng.normal(size=lay.cout).astype(np.float32)
+            if lay.kind == "instance_norm":
+                lay.weights = rng.uniform(0.5, 1.5, size=lay.cout).astype(np.float32)
+        x = rng.normal(size=(2, 16, 8, 16)).astype(np.float32)
+        written = forward(model, x)
+        monkeypatch.setattr(network, "_input_buffer", lambda consumer, dims: (None, None))
+        np.testing.assert_array_equal(written, forward(model, x))
+
+    def test_forward_peak_memory_at_most_four_stage_one_activations(self):
+        # one default-network forward at 64x64x32, traced: every 3x3x3
+        # conv reads a halo its producer wrote, so no conv input lives
+        # beside its own padded copy (5.6x when each conv padded its input)
+        model = build_unet(NetworkConfig(), init_seed=0)
+        x = np.random.default_rng(21).normal(size=(1, 64, 64, 32)).astype(np.float32)
+        stage_one = 4 * 32 * x[0].size
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * stage_one, f"{peak / 1e6:.1f} MB = {peak / stage_one:.2f}x"
+
     def test_forward_is_deterministic(self):
         model = build_unet(TOY, init_seed=10)
         x = np.random.default_rng(11).normal(size=(1, 8, 8, 8)).astype(np.float32)
@@ -452,28 +487,57 @@ class TestLayouts:
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-5)
 
     def test_conv3d_sees_the_plan_shapes(self, tmp_path, monkeypatch):
+        # x is the logical (cin, d, d, d) input, which the benchmark tracer
+        # keys its per-shape conv times on; every 3x3x3 conv but the
+        # network's first reads it from a halo its producer wrote
         cfg = NetworkConfig(base_width=4, num_stages=3, kernel_plan=(3, 3, 1))
         path = tmp_path / "net.vskw"
         save_weights(build_unet(cfg, init_seed=68), path)
         expected, dims, stack = [], 16, []
         for lay in layer_plan(cfg):
             if lay.kind == "conv":
-                expected.append(((lay.cin, dims, dims, dims), (lay.cout, lay.cin, *lay.kernel)))
+                halo = (lay.cin, *(dims + 2 * (k // 2) for k in lay.kernel)) if lay.kernel != (1, 1, 1) else None
+                expected.append(((lay.cin, dims, dims, dims), (lay.cout, lay.cin, *lay.kernel), halo))
             elif lay.kind == "max_pool":
                 stack.append(dims)
                 dims //= 2
             elif lay.kind == "upsample":
                 dims = stack.pop()
+        expected[0] = expected[0][:2] + (None,)
         seen = []
         conv = network.conv3d
 
-        def counting(x, weights, bias):
-            seen.append((x.shape, weights.shape))
-            return conv(x, weights, bias)
+        def counting(x, weights, bias, halo=None):
+            seen.append((x.shape, weights.shape, None if halo is None else halo.shape))
+            if halo is not None:
+                assert np.shares_memory(x, halo) and is_channels_last(halo)
+            return conv(x, weights, bias, halo=halo)
 
         monkeypatch.setattr(network, "conv3d", counting)
         forward(load_weights(path, cfg), np.ones((1, 16, 16, 16), np.float32))
         assert seen == expected
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_pool_and_concat_write_into_a_halo(self, last):
+        # either input order, written into a halo_buffer's interior or into
+        # a channels-first array, gives the values of a fresh output
+        rng = np.random.default_rng(70)
+        x = rng.normal(size=(3, 4, 6, 2)).astype(np.float32)
+        low = rng.normal(size=(2, 2, 3, 1)).astype(np.float32)
+        if last:
+            x, low = channels_last(x), channels_last(low)
+        pooled, concat = max_pool_2x(x), network._upsample_concat(low, x)
+        np.testing.assert_array_equal(pooled, naive_max_pool(x))
+        np.testing.assert_array_equal(concat[:2], naive_upsample(low))
+        np.testing.assert_array_equal(concat[2:], x)
+        _, pool_out = network.halo_buffer(3, (2, 3, 1), (1, 1, 1))
+        _, concat_out = network.halo_buffer(5, (4, 6, 2), (1, 1, 1))
+        for out, fill in ((pool_out, lambda o: max_pool_2x(x, out=o)),
+                          (concat_out, lambda o: network._upsample_concat(low, x, out=o)),
+                          (np.empty((3, 2, 3, 1), np.float32), lambda o: max_pool_2x(x, out=o)),
+                          (np.empty((5, 4, 6, 2), np.float32), lambda o: network._upsample_concat(low, x, out=o))):
+            assert fill(out) is out
+            np.testing.assert_array_equal(out, pooled if out.shape[0] == 3 else concat)
 
     def test_loaded_weights_memory_order(self, tmp_path):
         path = tmp_path / "toy.vskw"
