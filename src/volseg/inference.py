@@ -203,7 +203,7 @@ def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: S
                 num = np.zeros((probs.shape[0], *work_dims), dtype=np.float64)
             ensemble_predict(probs, weights, num[:, ox:ox + px, oy:oy + py, oz:oz + pz])
             del probs  # released before the next member runs
-    return Volume3D(_divide_by_weights(num, den_axes, dims), vol.spacing, "continuous")
+    return Volume3D(_divide_by_weights(num, den_axes, dims), vol.spacing)
 
 
 def _divide_by_weights(num: np.ndarray, den_axes, dims) -> np.ndarray:

@@ -4,7 +4,9 @@ Only what the pipeline needs: scalar integer/float datatypes, dims and
 pixdim from the header, optional gzip. Orientation fields (qform/sform)
 are written for interoperability but never applied on read. Masks are
 written as uint8, volumes as float32; a write/read round trip is
-bit-exact.
+bit-exact. Reads scale by ``scl_slope``/``scl_inter`` unless the slope is 0
+(NIfTI-1: no scaling) or the pair is (1, 0). :class:`LabelMask` checks mask
+labels on the stored dtype; a mask read reports its error naming the file.
 """
 
 import gzip
@@ -177,8 +179,8 @@ def read_nifti(path, as_mask: bool = False):
 
     Args:
         path: .nii or .nii.gz file.
-        as_mask: load an integer-typed file with values in {0, 1, 2} as a
-            LabelMask instead of a float volume.
+        as_mask: load a one-channel integer-typed file with values in
+            {0, 1, 2} as a LabelMask instead of a float volume.
 
     A malformed file raises :class:`NiftiFormatError`,
     :class:`NiftiUnsupportedError` or ``IOError`` naming ``path``.
@@ -195,22 +197,18 @@ def read_nifti(path, as_mask: bool = False):
 
     slope = float(hdr["scl_slope"])
     inter = float(hdr["scl_inter"])
-    if slope not in (0.0, 1.0) or inter != 0.0:
+    if slope != 0.0 and (slope, inter) != (1.0, 0.0):
         arr = arr * slope + inter
 
     if as_mask:
         if channels != 1:
             raise NiftiFormatError(f"{path}: cannot load a {channels}-channel image as a mask")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise NiftiFormatError(f"{path}: mask request on a non-integer datatype")
-        values = np.unique(arr)
-        if not np.isin(values, (0, 1, 2)).all():
-            raise NiftiFormatError(f"{path}: mask values {values.tolist()} outside {{0, 1, 2}}")
-        return LabelMask(arr[0].astype(np.uint8), spacing)
+        try:
+            return LabelMask(arr[0], spacing)
+        except ValueError as exc:
+            raise NiftiFormatError(f"{path}: {exc}") from exc
 
-    data = np.ascontiguousarray(arr, dtype=np.float32)
-    kind = "binary" if np.isin(data, (0.0, 1.0)).all() else "continuous"
-    return Volume3D(data, spacing, kind)
+    return Volume3D(np.ascontiguousarray(arr, dtype=np.float32), spacing)
 
 
 def write_nifti(obj, path) -> None:

@@ -113,4 +113,4 @@ def normalize_patchwise(patch: np.ndarray, exempt_channels=frozenset(), eps: flo
 def normalize_imagewise(vol: Volume3D, eps: float = NORM_EPS) -> Volume3D:
     """Z-score each channel over the whole volume (baseline configuration)."""
     data = normalize_patchwise(vol.data, exempt_channels=frozenset(), eps=eps)
-    return Volume3D(data, vol.spacing, "continuous")
+    return Volume3D(data, vol.spacing)

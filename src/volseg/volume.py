@@ -1,12 +1,15 @@
 """Volume and label-mask containers plus resampling between voxel grids.
 
 A volume is a channel-first float32 array with a physical voxel spacing in
-millimetres; a label mask is an integer array over the classes
+millimetres; a label mask is a uint8 array over the classes
 {0: background, 1: GTVp, 2: GTVn}. Resampling maps voxel centers between
 grids: the physical position of index ``i`` is ``(i + 0.5) * spacing``,
 and coordinates are clamped to the valid input domain at the borders.
 Output grids use ``ceil(dim_in * spacing_in / spacing_out)`` voxels per
-axis so the input field of view is fully covered.
+axis so the input field of view is fully covered. ``LabelMask`` is the one
+check of mask labels, in code and from files alike: it checks the range
+on the caller's integer dtype, then casts to uint8, so no value wraps
+into a class.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +19,6 @@ import numpy as np
 from ._kernels import trilinear_core
 
 Spacing = tuple[float, float, float]
-
-LABELS = (0, 1, 2)
 
 
 def _check_spacing(spacing) -> Spacing:
@@ -33,7 +34,6 @@ class Volume3D:
 
     data: np.ndarray
     spacing: Spacing
-    intensity_kind: str = "continuous"  # or "binary"
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
@@ -42,10 +42,6 @@ class Volume3D:
         if self.data.ndim != 4 or min(self.data.shape) < 1:
             raise ValueError(f"volume data must be (C, X, Y, Z), got shape {self.data.shape}")
         self.spacing = _check_spacing(self.spacing)
-        if self.intensity_kind not in ("continuous", "binary"):
-            raise ValueError(f"unknown intensity_kind {self.intensity_kind!r}")
-        if self.intensity_kind == "binary" and not np.isin(self.data, (0.0, 1.0)).all():
-            raise ValueError("binary volume contains values outside {0, 1}")
 
     @property
     def channels(self) -> int:
@@ -58,20 +54,22 @@ class Volume3D:
 
 @dataclass
 class LabelMask:
-    """Integer class grid, shape (X, Y, Z), labels in {0, 1, 2}."""
+    """Class grid, shape (X, Y, Z), labels in {0, 1, 2}, stored as uint8."""
 
     labels: np.ndarray
     spacing: Spacing = field(default=(1.0, 1.0, 1.0))
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels)
-        if not np.issubdtype(self.labels.dtype, np.integer):
-            raise ValueError("mask labels must be integers")
-        self.labels = self.labels.astype(np.uint8, copy=False)
-        if self.labels.ndim != 3:
-            raise ValueError(f"mask must be (X, Y, Z), got shape {self.labels.shape}")
-        if self.labels.max(initial=0) > max(LABELS):
-            raise ValueError("mask contains labels outside {0, 1, 2}")
+        labels = np.asarray(self.labels)
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"mask labels must be integers, got non-integer dtype {labels.dtype}")
+        if labels.ndim != 3:
+            raise ValueError(f"mask must be (X, Y, Z), got shape {labels.shape}")
+        # before the uint8 cast (int16 258 would read as 2); the values are listed only on failure
+        if labels.size and (labels.max() > 2 or (labels.dtype.kind == "i" and labels.min() < 0)):
+            bad = np.unique(labels[(labels < 0) | (labels > 2)])
+            raise ValueError(f"mask values {bad.tolist()} outside {{0, 1, 2}}")
+        self.labels = labels.astype(np.uint8, copy=False)
         self.spacing = _check_spacing(self.spacing)
 
     @property
@@ -96,7 +94,7 @@ def resample_linear(vol: Volume3D, target_spacing) -> Volume3D:
     """Trilinear resample of a volume onto a new voxel spacing."""
     target = _check_spacing(target_spacing)
     if target == vol.spacing:
-        return Volume3D(vol.data.copy(), vol.spacing, vol.intensity_kind)
+        return Volume3D(vol.data.copy(), vol.spacing)
     out_dims = _output_dims(vol.dims, vol.spacing, target)
     coords = [
         np.clip(_center_coords(n, so, si), 0.0, d - 1.0)
@@ -105,8 +103,7 @@ def resample_linear(vol: Volume3D, target_spacing) -> Volume3D:
     out = np.empty((vol.channels, *out_dims), dtype=np.float32)
     for c in range(vol.channels):
         out[c] = trilinear_core(vol.data[c], *coords)
-    # interpolation produces fractional values, so the result is continuous
-    return Volume3D(out, target, "continuous")
+    return Volume3D(out, target)
 
 
 def _nearest_indices(n_out: int, spacing_out: float, n_in: int, spacing_in: float) -> np.ndarray:

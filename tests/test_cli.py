@@ -16,7 +16,7 @@ import volseg
 from volseg import cli
 from volseg.cli import _KEYS, build_parser, build_run_config, load_config_file, main
 from volseg.network import NetworkConfig, build_unet, save_weights
-from volseg.nifti import read_nifti, write_nifti
+from volseg.nifti import _HEADER, read_nifti, write_nifti
 from volseg.volume import LabelMask, Volume3D
 
 from oracles import overlap_counts
@@ -379,6 +379,26 @@ class TestInfer:
                            env=env, check=True, timeout=300, capture_output=True)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_zero_scl_slope_scan_reads_unscaled(self, tmp_path):
+        # NIfTI-1: scl_slope 0 means no scaling, so scl_inter 5 must not make the scan constant
+        data = np.random.default_rng(9).integers(-100, 100, size=(8, 8, 8)).astype(np.float32)
+        scans = [tmp_path / "plain.nii", tmp_path / "zero_slope.nii"]
+        for scan in scans:
+            write_nifti(Volume3D(data, (1.0, 1.0, 1.0)), scan)
+        raw = bytearray(scans[1].read_bytes())
+        hdr = np.frombuffer(bytes(raw[:348]), dtype=_HEADER).copy()[0]
+        hdr["scl_slope"], hdr["scl_inter"] = 0.0, 5.0
+        raw[:348] = hdr.tobytes()
+        scans[1].write_bytes(bytes(raw))
+        cfg, weights = self.toy_config(tmp_path), toy_weights(tmp_path, seed=3)
+        labels = []
+        for scan in scans:
+            out = tmp_path / f"{scan.stem}_labels.nii.gz"
+            assert main(["infer", "--config", cfg, "--weights", weights, "--output", str(out), str(scan)]) == 0
+            labels.append(read_nifti(out, as_mask=True).labels)
+        assert len(np.unique(labels[0])) > 1
+        assert np.array_equal(labels[0], labels[1])
 
     def test_output_restored_to_input_grid(self, tmp_path):
         rng = np.random.default_rng(5)

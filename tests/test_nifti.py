@@ -41,6 +41,16 @@ def write_raw(path, datatype_code, np_dtype, dims, data, magic=b"n+1", pixdim=(1
         f.write(np.asarray(data, np_dtype).transpose(2, 1, 0).tobytes())
 
 
+def patch_header(path, **fields):
+    """Rewrite header fields of an uncompressed .nii in place."""
+    raw = bytearray(path.read_bytes())
+    hdr = np.frombuffer(bytes(raw[:348]), dtype=_HEADER).copy()[0]
+    for name, value in fields.items():
+        hdr[name] = value
+    raw[:348] = hdr.tobytes()
+    path.write_bytes(bytes(raw))
+
+
 class TestRoundTrip:
     def test_volume_round_trip_bit_exact(self, tmp_path):
         vol = make_volume(np.random.default_rng(0), spacing=(0.5, 0.5, 2.0))
@@ -162,10 +172,14 @@ class TestHeaderFields:
         assert np.array_equal(mask.labels, data)
 
     def test_mask_request_rejects_bad_values(self, tmp_path):
-        path = tmp_path / "big.nii"
-        write_raw(path, 4, np.int16, (2, 2, 2), np.full((2, 2, 2), 7, np.int16))
-        with pytest.raises(ValueError, match="outside"):
-            read_nifti(path, as_mask=True)
+        # 258 is 2 once cast to uint8; the check runs on the stored int16
+        for value in (7, 258):
+            path = tmp_path / f"big{value}.nii"
+            data = np.zeros((2, 2, 2), np.int16)
+            data[1, 0, 1] = value
+            write_raw(path, 4, np.int16, (2, 2, 2), data)
+            with pytest.raises(NiftiFormatError, match=rf"big{value}\.nii: mask values \[{value}\] outside"):
+                read_nifti(path, as_mask=True)
 
     def test_mask_request_rejects_float_datatype(self, tmp_path):
         path = tmp_path / "float.nii"
@@ -177,20 +191,19 @@ class TestHeaderFields:
         path = tmp_path / "scaled.nii"
         data = np.arange(8).reshape(2, 2, 2)
         write_raw(path, 4, np.int16, (2, 2, 2), data)
-        raw = bytearray(path.read_bytes())
-        hdr = np.frombuffer(bytes(raw[:348]), dtype=_HEADER).copy()[0]
-        hdr["scl_slope"] = 2.0
-        hdr["scl_inter"] = 1.0
-        raw[:348] = hdr.tobytes()
-        path.write_bytes(bytes(raw))
+        patch_header(path, scl_slope=2.0, scl_inter=1.0)
         vol = read_nifti(path)
         np.testing.assert_allclose(np.sort(vol.data.ravel()), 2.0 * np.arange(8) + 1.0)
 
-    def test_binary_volume_detected(self, tmp_path):
-        path = tmp_path / "bin.nii"
-        write_raw(path, 2, np.uint8, (3, 3, 3),
-                  np.random.default_rng(7).integers(0, 2, size=(3, 3, 3)))
-        assert read_nifti(path).intensity_kind == "binary"
+    def test_zero_slope_means_no_scaling(self, tmp_path):
+        # NIfTI-1: scl_slope 0 leaves the stored values as they are, scl_inter too
+        data = np.random.default_rng(7).integers(0, 3, size=(4, 3, 2))
+        path = tmp_path / "unscaled.nii"
+        write_raw(path, 4, np.int16, (4, 3, 2), data)
+        patch_header(path, scl_slope=0.0, scl_inter=5.0)
+        assert np.array_equal(read_nifti(path).data[0], data.astype(np.float32))
+        mask = read_nifti(path, as_mask=True)
+        assert np.array_equal(mask.labels, data)
 
 
 class TestErrors:
@@ -203,11 +216,7 @@ class TestErrors:
     def test_unsupported_datatype_code(self, tmp_path):
         path = tmp_path / "cplx.nii"
         write_raw(path, 16, np.float32, (2, 2, 2), np.zeros((2, 2, 2), np.float32))
-        raw = bytearray(path.read_bytes())
-        hdr = np.frombuffer(bytes(raw[:348]), dtype=_HEADER).copy()[0]
-        hdr["datatype"] = 32  # complex64
-        raw[:348] = hdr.tobytes()
-        path.write_bytes(bytes(raw))
+        patch_header(path, datatype=32)  # complex64
         with pytest.raises(NiftiUnsupportedError, match="datatype"):
             read_nifti(path)
 

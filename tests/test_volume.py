@@ -24,15 +24,23 @@ class TestVolumeTypes:
         with pytest.raises(ValueError):
             Volume3D(np.zeros((1, 2, 2, 2), np.float32), (1.0, -2.0, 1.0))
 
-    def test_binary_kind_enforced(self):
-        Volume3D(np.zeros((1, 2, 2, 2), np.float32), (1, 1, 1), "binary")
-        with pytest.raises(ValueError):
-            Volume3D(np.full((1, 2, 2, 2), 0.5, np.float32), (1, 1, 1), "binary")
-
     def test_mask_label_range_enforced(self):
         LabelMask(np.full((2, 2, 2), 2, np.uint8), (1, 1, 1))
         with pytest.raises(ValueError):
             LabelMask(np.full((2, 2, 2), 3, np.uint8), (1, 1, 1))
+
+    # each of these wraps into a class under a uint8 cast (258 -> 2, -255 -> 1)
+    @pytest.mark.parametrize("dtype, value", [(np.int16, 258), (np.int16, -255), (np.int64, 2**40 + 2)])
+    def test_mask_range_checked_before_the_uint8_cast(self, dtype, value):
+        labels = np.ones((3, 3, 3), dtype)
+        labels[1, 2, 0] = value
+        with pytest.raises(ValueError, match=rf"mask values \[{value}\] outside"):
+            LabelMask(labels, (1, 1, 1))
+
+    def test_out_of_range_message_lists_each_bad_value_once(self):
+        labels = np.array([-1, 0, 1, 2, 3, 3, 7, -1]).reshape(2, 2, 2)
+        with pytest.raises(ValueError, match=r"mask values \[-1, 3, 7\] outside \{0, 1, 2\}"):
+            LabelMask(labels, (1, 1, 1))
 
 
 class TestResampleLinear:
