@@ -1,4 +1,4 @@
-"""Hot numeric kernels: 3D convolution and trilinear sampling, in numpy.
+"""Hot numeric kernels: 3D convolution, trilinear sampling and channel centering.
 
 The convolution is an im2col matrix product (Chellapilla et al. 2006). A
 kernel larger than 1x1x1 reads a zero-padded channels-last input. Each
@@ -159,3 +159,25 @@ def trilinear_core(src: np.ndarray, cx: np.ndarray, cy: np.ndarray, cz: np.ndarr
     t = _lerp_axis(t, cy, 1)
     t = _lerp_axis(t, cz, 2)
     return t.astype(np.float32)
+
+
+# ---------------------------------------------------------------------------
+# Per-channel centering for instance norm and patch-wise z-scoring. rows: 2-D
+# float32, any strides, whose columns are ``reps`` runs of the C channels.
+# ---------------------------------------------------------------------------
+
+def center_channels(rows: np.ndarray, reps: int, out: np.ndarray):
+    """Write ``rows - float32(mean)`` into ``out`` (may be ``rows``); return
+    each channel's float64 residual mean and variance.
+
+    Sums are float64, so a channel far from zero keeps its precision and no
+    float64 array of the rows' size is made. The residual's mean is what
+    rounding the mean to float32 left over, so it takes no second pass.
+    """
+    c, n = rows.shape[1] // reps, rows.shape[0] * reps
+    mean = np.einsum("nk->k", rows, dtype=np.float64).reshape(reps, c).sum(axis=0) / n
+    mean32 = mean.astype(np.float32)
+    np.subtract(rows, np.tile(mean32, reps), out=out)
+    rmean = mean - mean32
+    sq = np.einsum("nk,nk->k", out, out, dtype=np.float64).reshape(reps, c).sum(axis=0)
+    return rmean, sq / n - rmean * rmean

@@ -47,7 +47,7 @@ from struct import Struct
 
 import numpy as np
 
-from ._kernels import conv3d_core
+from ._kernels import center_channels, conv3d_core
 
 Tensor4D = np.ndarray  # (C, X, Y, Z) float32
 
@@ -229,15 +229,15 @@ def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray | None,
 
 
 def _channel_rows(x: Tensor4D):
-    """``x`` as a 2-D view in its memory order, or None for other orders.
+    """``x`` as ``center_channels`` rows in its memory order, or None for others.
 
-    Returns the view and ``reps``: channels-first is (C, voxels), one row
-    per channel (``reps`` 0); channels-last is (X*Y, Z*C), each row ``reps``
+    Returns the view and ``reps``: channels-first is the (voxels, C)
+    transpose, ``reps`` 1; channels-last is (X*Y, Z*C), each row ``reps``
     = Z runs of the C channels.
     """
     c, xs, ys, zs = x.shape
     if x.flags.c_contiguous:
-        return x.reshape(c, -1), 0
+        return x.reshape(c, -1).T, 1
     last = x.transpose(1, 2, 3, 0)
     if last.flags.c_contiguous:
         return last.reshape(xs * ys, zs * c), zs
@@ -248,11 +248,10 @@ def instance_norm(x: Tensor4D, gamma: np.ndarray, beta: np.ndarray,
                   eps: float = INSTANCE_NORM_EPS, out: Tensor4D | None = None) -> Tensor4D:
     """Per-channel standardization over this instance's voxels, with affine.
 
-    ``out`` may be ``x`` itself. The float32 residual ``x - mean`` is
-    written into ``out`` and its statistics are summed in float64, so a
-    channel far from zero keeps its precision and no float64 array of
-    the activation's size is made. Every pass runs over ``x``'s memory in
-    order, channels-first or channels-last, and ``out`` keeps that order.
+    ``out`` may be ``x`` itself. The statistics come from
+    ``_kernels.center_channels``, which writes the float32 residual into
+    ``out``; every pass runs over ``x``'s memory in order, channels-first
+    or channels-last, and ``out`` keeps that order.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -262,26 +261,10 @@ def instance_norm(x: Tensor4D, gamma: np.ndarray, beta: np.ndarray,
     if xm is None or reps != out_reps:
         out[...] = instance_norm(np.ascontiguousarray(x), gamma, beta, eps)
         return out
-    c = x.shape[0]
-    n = x[0].size
-    sums, sq = ("cn->c", "cn,cn->c") if reps == 0 else ("nk->k", "nk,nk->k")
-
-    def per_channel(row_sums):  # float64 sums over the rows -> one per channel
-        return row_sums.reshape(reps, c).sum(axis=0) if reps else row_sums
-
-    def spread(values):  # per-channel float32 values laid out like a row or column
-        values = values.astype(np.float32)
-        return np.tile(values, reps) if reps else values[:, None]
-
-    mean = per_channel(np.einsum(sums, xm, dtype=np.float64)) / n
-    mean32 = mean.astype(np.float32)
-    np.subtract(xm, spread(mean32), out=om)
-    # the residual's mean is what rounding ``mean`` to float32 left over
-    rmean = mean - mean32
-    var = per_channel(np.einsum(sq, om, om, dtype=np.float64)) / n - rmean * rmean
+    rmean, var = center_channels(xm, reps, om)
     inv = gamma / np.sqrt(var + eps)
-    om *= spread(inv)
-    om += spread(beta - rmean * inv)
+    om *= np.tile(inv.astype(np.float32), reps)
+    om += np.tile((beta - rmean * inv).astype(np.float32), reps)
     return out
 
 

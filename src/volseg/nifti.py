@@ -5,7 +5,8 @@ pixdim from the header, optional gzip. Orientation fields (qform/sform)
 are written for interoperability but never applied on read. Masks are
 written as uint8, volumes as float32; a write/read round trip is
 bit-exact. Reads scale by ``scl_slope``/``scl_inter`` unless the slope is 0
-(NIfTI-1: no scaling) or the pair is (1, 0). :class:`LabelMask` checks mask
+(NIfTI-1: no scaling) or the pair is (1, 0); as in ``nifti1_io.c``, a NaN or
+infinite slope or intercept reads as 0. :class:`LabelMask` checks mask
 labels on the stored dtype; a mask read reports its error naming the file.
 """
 
@@ -195,8 +196,7 @@ def read_nifti(path, as_mask: bool = False):
     arr = np.frombuffer(payload, dtype=dtype).reshape((channels,) + dims[::-1])
     arr = np.ascontiguousarray(arr.transpose(0, 3, 2, 1))
 
-    slope = float(hdr["scl_slope"])
-    inter = float(hdr["scl_inter"])
+    slope, inter = (v if math.isfinite(v) else 0.0 for v in map(float, (hdr["scl_slope"], hdr["scl_inter"])))
     if slope != 0.0 and (slope, inter) != (1.0, 0.0):
         arr = arr * slope + inter
 

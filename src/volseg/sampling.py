@@ -6,17 +6,18 @@ is picked uniformly, then the offset is drawn uniformly among all valid
 offsets whose patch contains it. The rest (and everything, when the mask
 has no foreground) is drawn uniformly over all valid offsets.
 
-Normalization is z-scoring per channel. The patch-wise variant runs after
+Normalization is z-scoring per channel, centered by the pass instance norm
+uses (``_kernels.center_channels``). The patch-wise variant runs after
 patch extraction so every network input has mean 0 / std 1 regardless of
 patch location; the image-wise variant (whole-volume statistics) is kept
-as the baseline for comparison. Channels carrying binary masks are exempt
-from normalization.
+as the baseline. Channels carrying binary masks are exempt.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import center_channels
 from .volume import LabelMask, Volume3D
 
 NORM_EPS = 1e-8
@@ -86,24 +87,18 @@ def extract_patch(vol: Volume3D, mask: LabelMask, offset, spec: PatchSpec,
 def normalize_patchwise(patch: np.ndarray, exempt_channels=frozenset(), eps: float = NORM_EPS) -> np.ndarray:
     """Z-score each non-exempt channel over this patch; exempt channels pass through.
 
-    Returns a float32 copy; ``patch`` is left unchanged. Each channel's
-    float32 residual ``x - mean`` is written in place and its statistics
-    are summed in float64, so a channel far from zero keeps its precision
-    and no float64 array of the channel's size is made.
+    Returns a float32 copy; ``patch`` is left unchanged. Each channel is
+    centered in place by ``_kernels.center_channels``, then divided by its
+    standard deviation, floored at ``eps``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     out = np.array(patch, dtype=np.float32, order="C")
-    exempt = set(exempt_channels)
     for c in range(out.shape[0]):
-        if c in exempt:
+        if c in exempt_channels:
             continue
-        ch = out[c].reshape(-1)
-        n = ch.size
-        ch -= np.float32(np.add.reduce(ch, dtype=np.float64) / n)
-        # residual mean left by rounding the mean to float32, and the variance
-        rmean = np.add.reduce(ch, dtype=np.float64) / n
-        var = np.einsum("i,i->", ch, ch, dtype=np.float64) / n - rmean * rmean
+        ch = out[c].reshape(-1, 1)
+        (rmean,), (var,) = center_channels(ch, 1, ch)
         inv = 1.0 / max(np.sqrt(max(var, 0.0)), eps)
         ch *= np.float32(inv)
         ch -= np.float32(rmean * inv)
@@ -112,5 +107,4 @@ def normalize_patchwise(patch: np.ndarray, exempt_channels=frozenset(), eps: flo
 
 def normalize_imagewise(vol: Volume3D, eps: float = NORM_EPS) -> Volume3D:
     """Z-score each channel over the whole volume (baseline configuration)."""
-    data = normalize_patchwise(vol.data, exempt_channels=frozenset(), eps=eps)
-    return Volume3D(data, vol.spacing)
+    return Volume3D(normalize_patchwise(vol.data, eps=eps), vol.spacing)

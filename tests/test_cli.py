@@ -380,15 +380,15 @@ class TestInfer:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_zero_scl_slope_scan_reads_unscaled(self, tmp_path):
-        # NIfTI-1: scl_slope 0 means no scaling, so scl_inter 5 must not make the scan constant
+    def labels_of_plain_and_scaled_scan(self, tmp_path, slope, inter):
+        """Labels ``infer`` writes for a scan and for its copy with the given scaling fields."""
         data = np.random.default_rng(9).integers(-100, 100, size=(8, 8, 8)).astype(np.float32)
-        scans = [tmp_path / "plain.nii", tmp_path / "zero_slope.nii"]
+        scans = [tmp_path / "plain.nii", tmp_path / "scaled.nii"]
         for scan in scans:
             write_nifti(Volume3D(data, (1.0, 1.0, 1.0)), scan)
         raw = bytearray(scans[1].read_bytes())
         hdr = np.frombuffer(bytes(raw[:348]), dtype=_HEADER).copy()[0]
-        hdr["scl_slope"], hdr["scl_inter"] = 0.0, 5.0
+        hdr["scl_slope"], hdr["scl_inter"] = slope, inter
         raw[:348] = hdr.tobytes()
         scans[1].write_bytes(bytes(raw))
         cfg, weights = self.toy_config(tmp_path), toy_weights(tmp_path, seed=3)
@@ -398,7 +398,17 @@ class TestInfer:
             assert main(["infer", "--config", cfg, "--weights", weights, "--output", str(out), str(scan)]) == 0
             labels.append(read_nifti(out, as_mask=True).labels)
         assert len(np.unique(labels[0])) > 1
-        assert np.array_equal(labels[0], labels[1])
+        return labels
+
+    def test_zero_scl_slope_scan_reads_unscaled(self, tmp_path):
+        # NIfTI-1: scl_slope 0 means no scaling, so scl_inter 5 must not make the scan constant
+        plain, scaled = self.labels_of_plain_and_scaled_scan(tmp_path, 0.0, 5.0)
+        assert np.array_equal(plain, scaled)
+
+    def test_nan_scl_slope_scan_reads_unscaled(self, tmp_path):
+        # a NaN slope reads as 0, no scaling, as nifti1_io.c reads it; multiplied in, it made the scan all NaN
+        plain, scaled = self.labels_of_plain_and_scaled_scan(tmp_path, np.nan, 5.0)
+        assert np.array_equal(plain, scaled)
 
     def test_output_restored_to_input_grid(self, tmp_path):
         rng = np.random.default_rng(5)

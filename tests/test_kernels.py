@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from volseg import _kernels
-from volseg._kernels import conv3d_core, trilinear_core
+from volseg._kernels import center_channels, conv3d_core, trilinear_core
 from volseg.network import conv3d, halo_buffer
 
 from oracles import naive_conv3d, trilinear_eight_corner
@@ -230,6 +230,28 @@ class TestHaloBuffer:
         border = ~np.isnan(halo)
         assert border.sum() == halo.size - interior.size
         assert not halo[border].any()
+
+
+class TestCenterChannels:
+    def test_channels_last_rows_equal_channels_first_rows(self):
+        # the (X*Y, Z*C) rows with reps = Z hold the same channels as the
+        # (voxels, C) transpose with reps = 1
+        rng = np.random.default_rng(30)
+        c, xs, ys, zs = 3, 6, 5, 4
+        x = (rng.normal(size=(c, xs, ys, zs)) + [[[[1e3]]], [[[-2e3]]], [[[0.5]]]]).astype(np.float32)
+        first = x.reshape(c, -1).T
+        res_first = np.empty_like(first)
+        rmean_first, var_first = center_channels(first, 1, res_first)
+        last = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).reshape(xs * ys, zs * c)
+        res_last = np.empty_like(last)
+        rmean_last, var_last = center_channels(last, zs, res_last)
+        np.testing.assert_allclose(rmean_last, rmean_first, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(var_last, var_first, rtol=1e-12)
+        np.testing.assert_array_equal(res_last.reshape(-1, c), res_first)
+        x64 = x.reshape(c, -1).astype(np.float64)
+        mean = x64.mean(axis=1)
+        np.testing.assert_allclose(rmean_first, mean - mean.astype(np.float32), atol=1e-12)
+        np.testing.assert_allclose(var_first, x64.var(axis=1), rtol=1e-6)  # float32 residual
 
 
 class TestTrilinearCore:

@@ -137,13 +137,14 @@ class TestInstanceNorm:
         assert out is x
         np.testing.assert_array_equal(x, expected)
 
-    def test_channel_far_from_zero_matches_oracle(self):
+    @pytest.mark.parametrize("order", [np.ascontiguousarray, channels_last], ids=["channels_first", "channels_last"])
+    def test_channel_far_from_zero_matches_oracle(self, order):
         rng = np.random.default_rng(5)
         x = rng.normal(1e3, 1.0, size=(2, 8, 8, 4)).astype(np.float32)
         x[1] -= 2e3
         gamma = rng.normal(size=2).astype(np.float32)
         beta = rng.normal(size=2).astype(np.float32)
-        out = instance_norm(x, gamma, beta)
+        out = instance_norm(order(x), gamma, beta)
         np.testing.assert_allclose(out, naive_instance_norm(x, gamma, beta), atol=1e-5)
 
 

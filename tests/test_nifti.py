@@ -205,6 +205,28 @@ class TestHeaderFields:
         mask = read_nifti(path, as_mask=True)
         assert np.array_equal(mask.labels, data)
 
+    def test_nan_slope_float_volume_reads_stored_values(self, tmp_path):
+        # nifti1_io.c reads a non-finite scl_slope as 0, which means no scaling
+        data = np.random.default_rng(8).normal(size=(3, 4, 2)).astype(np.float32)
+        path = tmp_path / "nan_slope.nii"
+        write_raw(path, 16, np.float32, (3, 4, 2), data)
+        patch_header(path, scl_slope=np.nan, scl_inter=5.0)
+        assert np.array_equal(read_nifti(path).data[0], data)
+
+    def test_inf_slope_mask_reads_its_labels(self, tmp_path):
+        data = np.random.default_rng(9).integers(0, 3, size=(4, 3, 2))
+        path = tmp_path / "inf_slope.nii"
+        write_raw(path, 4, np.int16, (4, 3, 2), data)
+        patch_header(path, scl_slope=np.inf, scl_inter=1.0)
+        assert np.array_equal(read_nifti(path, as_mask=True).labels, data)
+
+    def test_non_finite_intercept_reads_as_zero(self, tmp_path):
+        data = np.arange(8).reshape(2, 2, 2)
+        path = tmp_path / "nan_inter.nii"
+        write_raw(path, 4, np.int16, (2, 2, 2), data)
+        patch_header(path, scl_slope=2.0, scl_inter=np.nan)
+        np.testing.assert_array_equal(np.sort(read_nifti(path).data.ravel()), 2.0 * np.arange(8))
+
 
 class TestErrors:
     def test_bad_magic_is_format_error(self, tmp_path):
