@@ -9,6 +9,8 @@ ky*cout)`` gives T, and output voxel (x, y, z) is the sum over dy of T's
 row (x, y + dy - ky//2, z) in column block dy, written channels-last; a
 row past the Y edge would read only zero padding and is left out. The
 copy is a third of a full 27-tap window's, and N is three times cout.
+Given an accumulator, each output block adds these sums instead of taking
+them, so a conv over a channel concat can run as one conv per part.
 The GEMM runs over blocks of whole X planes, and each block's columns are
 copied into one reused buffer just before its GEMM, so the copy never
 holds more than one block. With one input channel the runs would be kz
@@ -42,11 +44,13 @@ _GEMM_BLOCK_BYTES = 1 << 20
 #   padding must be zero: only the X and Z padding is read.
 # weights: (Cout, Cin, kx, ky, kz) float32, any memory order; read without a
 #   copy when stored as (kx, kz, Cin, ky, Cout), the GEMM operand.
+# out: None, or an accumulator of the output's shape that the result is
+#   added into; stored channels-last unless the kernel is 1x1x1.
 # returns: (Cout, X, Y, Z) float32, stored channels-last unless the kernel
-#   is 1x1x1.
+#   is 1x1x1; ``out`` when given.
 # ---------------------------------------------------------------------------
 
-def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def conv3d_core(padded: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     cout, cin, kx, ky, kz = weights.shape
     xs = padded.shape[1] - kx + 1
     ys = padded.shape[2] - ky + 1
@@ -58,9 +62,15 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
         # result bit for bit without the K = 1 GEMM overhead.
         w2d = weights.reshape(cout, cin)
         cols = padded.reshape(cin, -1)
-        out2d = np.multiply(w2d, cols) if cin == 1 else w2d @ cols
-        return out2d.reshape(cout, xs, ys, zs)
+        result = (np.multiply(w2d, cols) if cin == 1 else w2d @ cols).reshape(cout, xs, ys, zs)
+        if out is None:
+            return result
+        out += result
+        return out
 
+    acc = None if out is None else out.transpose(1, 2, 3, 0)  # (X, Y, Z, Cout)
+    if acc is not None and not acc.flags.c_contiguous:
+        raise ValueError("the accumulator of a conv larger than 1x1x1 must be stored channels-last")
     halo = np.ascontiguousarray(padded.transpose(1, 2, 3, 0))
     # strides of the channels-last halo from its shape; numpy may report any
     # stride for an axis of size 1
@@ -83,14 +93,18 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
         # buffer before output, as below: the other order left infer-net's
         # peak RSS about 2 MB higher
         buf = np.empty(rows * gemm_planes * plane, dtype=np.float32)
-        out = np.empty((xs, ys, zs, cout), dtype=np.float32)
-        out2d = out.reshape(xs * plane, cout)
+        res = np.empty((xs, ys, zs, cout), dtype=np.float32) if acc is None else acc
+        res2d = res.reshape(xs * plane, cout)
         for x0 in range(0, xs, gemm_planes):
             n = min(gemm_planes, xs - x0)
             cols = buf[:rows * n * plane].reshape(kx, kz, ky, n, ys, zs)
             np.copyto(cols, taps[:, :, :, x0:x0 + n])
-            np.matmul(cols.reshape(rows, n * plane).T, w2d, out=out2d[x0 * plane:(x0 + n) * plane])
-        return out.transpose(3, 0, 1, 2)
+            block = res2d[x0 * plane:(x0 + n) * plane]
+            if acc is None:
+                np.matmul(cols.reshape(rows, n * plane).T, w2d, out=block)
+            else:
+                block += cols.reshape(rows, n * plane).T @ w2d
+        return res.transpose(3, 0, 1, 2) if out is None else out
 
     # (X, Y, Z, kx, kz * Cin) view of every output voxel's window at its own
     # y, no copy: the innermost run covers the window's dz and channel axes
@@ -101,7 +115,7 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     gemm_planes = min(xs, max(1, _GEMM_BLOCK_BYTES // (4 * rows * plane)))
     buf = np.empty(gemm_planes * plane * rows, dtype=np.float32)
     tbuf = np.empty(gemm_planes * plane * ky * cout, dtype=np.float32)
-    out = np.empty((xs, ys, zs, cout), dtype=np.float32)
+    res = np.empty((xs, ys, zs, cout), dtype=np.float32) if acc is None else acc
     for x0 in range(0, xs, gemm_planes):
         n = min(gemm_planes, xs - x0)
         cols = buf[:n * plane * rows]
@@ -109,8 +123,11 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
         t = tbuf[:n * plane * ky * cout].reshape(n * plane, ky * cout)
         np.matmul(cols.reshape(n * plane, rows), w2d, out=t)
         t = t.reshape(n, ys, zs, ky, cout)
-        block = out[x0:x0 + n]
-        np.copyto(block, t[:, :, :, py])
+        block = res[x0:x0 + n]
+        if acc is None:
+            np.copyto(block, t[:, :, :, py])
+        else:
+            block += t[:, :, :, py]
         for dy in range(ky):
             # output row y takes tap dy from T's row y + s; rows past the
             # edge would read only the zero padding
@@ -120,7 +137,7 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
                 continue
             lo = max(0, -s)
             block[:, lo:lo + n_rows] += t[:, lo + s:lo + s + n_rows, :, dy]
-    return out.transpose(3, 0, 1, 2)
+    return res.transpose(3, 0, 1, 2) if out is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,13 @@ def build_run_config(config_path=None, overrides=None) -> RunConfig:
     task2 = kwargs[None].get("task") == "task2"
     kwargs["network"]["in_channels"] = 4 if task2 else 1
     kwargs["window"]["exempt_channels"] = TASK2_EXEMPT_CHANNELS if task2 else frozenset()
-    return RunConfig(**kwargs[None], **{section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()})
+    cfg = RunConfig(**kwargs[None], **{section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()})
+    # each tile passes num_stages - 1 poolings, so a bad patch fails here, not after every fold is loaded
+    divisor = 2 ** (cfg.network.num_stages - 1)
+    if any(p % divisor for p in cfg.window.patch_size):
+        raise ValueError(f"inference.patch_size: {cfg.window.patch_size} must be divisible by {divisor} "
+                         f"for {cfg.network.num_stages} network stages")
+    return cfg
 
 
 # ---------------------------------------------------------------------------

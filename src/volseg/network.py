@@ -16,15 +16,15 @@ execution order, without parameters. ``build_unet`` and ``load_weights``
 fill in the parameters, ``volseg net-info`` counts them from the plan's
 shapes, and ``forward`` interprets the list one layer at a time. Skips are
 a stack: each max pool pushes its input, and each upsample pops the
-innermost skip and concatenates it after the upsampled features.
+innermost skip, which follows the upsampled features along channels.
 
 Memory order is chosen by kernel size; logical shapes never change. A conv
 with a kernel larger than 1x1x1 reads its input from a ``halo_buffer``: a
 channels-last buffer with a zero border of the kernel's reach. In
 ``forward`` the layer that makes the conv's input (a ReLU, max pool or
-upsample + concat) writes it straight into that buffer's interior, so the
-conv copies nothing; called on its own, ``conv3d`` copies its input into a
-new one. Such a conv returns its output channels-last: an array of shape
+upsample) writes it straight into that buffer's interior, so the conv
+copies nothing; called on its own, ``conv3d`` copies its input into a new
+one. Such a conv returns its output channels-last: an array of shape
 (C, X, Y, Z) whose memory is (X, Y, Z, C), ``out.transpose(3, 0, 1, 2)``
 of a C-contiguous array. A 1x1x1 conv reads either order and returns
 channels-first. Instance norm, ReLU, pooling, upsampling, concatenation and
@@ -34,6 +34,21 @@ channels-first. ``load_weights`` stores each conv weight with a kernel
 larger than 1x1x1 in memory order (kx, kz, cin, ky, cout), the kernel's
 GEMM operand without a copy; ``weights.shape`` stays (cout, cin, kx, ky,
 kz).
+
+A decoder conv larger than 1x1x1 reads the concat [U, S] of the upsampled
+features U and the skip S in two halves, since conv(cat(U, S), W) =
+conv(S, W_s) + conv(U, W_u), so the concat is never built. The stage's
+last encoder ReLU writes S into a halo of S's channels. The skip half runs
+into a fresh output and that halo is dropped; then the upsample writes U
+into a second halo, and the U half adds into the output through
+``conv3d``'s accumulator. Two float32 partial sums replace one, so the
+output is not bit-identical to one conv over the concat. A 1x1x1 decoder
+conv reads no halo and takes the concat. ``load_weights`` stores a halved
+conv's weight as (2, kx, kz, cin/2, ky, cout), each half a GEMM operand.
+No 5-D view has that memory, so its ``weights`` are shaped (cout, 2,
+cin/2, kx, ky, kz), cin split into its (U, S) halves; their reshape to
+(cout, cin, kx, ky, kz) is the logical weight, and the weight file is
+unchanged.
 
 Every conv but the last feeds an instance norm, which subtracts each
 channel's mean and so cancels a per-channel bias; ``forward`` skips those
@@ -97,7 +112,9 @@ class Layer:
     kernel: tuple[int, int, int] = (0, 0, 0)
     cin: int = 0
     cout: int = 0
-    weights: np.ndarray | None = None  # conv: (cout, cin, kx, ky, kz), any memory order; norm: gamma (c,)
+    # conv: (cout, cin, kx, ky, kz), any memory order, or a loaded halved decoder
+    # conv's (cout, 2, cin/2, kx, ky, kz) (see the module docstring); norm: gamma (c,)
+    weights: np.ndarray | None = None
     bias: np.ndarray | None = None     # conv: (cout,); norm: beta (c,)
 
     def param_shapes(self) -> tuple[tuple[int, ...], ...]:
@@ -196,14 +213,16 @@ def halo_buffer(c: int, dims, pad) -> tuple[Tensor4D, Tensor4D]:
 
 
 def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray | None,
-           halo: Tensor4D | None = None) -> Tensor4D:
+           halo: Tensor4D | None = None, out: Tensor4D | None = None) -> Tensor4D:
     """Zero-padded cross-correlation preserving spatial dims.
 
     A kernel larger than 1x1x1 reads its input from a ``halo_buffer`` of
     the kernel's reach: ``halo`` when given, whose interior ``x`` must be,
     else a new one that ``x`` is copied into. It returns its output
     channels-last (see the module docstring); a 1x1x1 kernel returns it
-    channels-first. A ``bias`` of None adds nothing.
+    channels-first. A ``bias`` of None adds nothing. ``out``, when given, is
+    an accumulator in that memory order: the result is added into it, and
+    it is returned.
     """
     cout, cin, kx, ky, kz = weights.shape
     if any(k % 2 == 0 for k in (kx, ky, kz)):
@@ -212,6 +231,8 @@ def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray | None,
         raise ValueError(f"input has {x.shape[0]} channels, weights expect {cin}")
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"bias shape {bias.shape} does not match {cout} output channels")
+    if out is not None and out.shape != (cout, *x.shape[1:]):
+        raise ValueError(f"accumulator shape {out.shape} does not match the output {(cout, *x.shape[1:])}")
     pad = (kx // 2, ky // 2, kz // 2)
     x = x.astype(np.float32, copy=False)
     if halo is None and any(pad):
@@ -222,7 +243,7 @@ def conv3d(x: Tensor4D, weights: np.ndarray, bias: np.ndarray | None,
         if halo.shape != expected:
             raise ValueError(f"halo shape {halo.shape} does not match the padded input {expected}")
         x = halo
-    out = conv3d_core(x, weights.astype(np.float32, copy=False))
+    out = conv3d_core(x, weights.astype(np.float32, copy=False), out=out)
     if bias is not None:
         out += bias[:, None, None, None]
     return out
@@ -302,15 +323,14 @@ def softmax_channels(x: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
     return e
 
 
-def _upsample_concat(x: Tensor4D, skip: Tensor4D, out: Tensor4D | None = None) -> Tensor4D:
-    """[upsampled x, skip] along channels, into ``out`` (default: the skip's memory order).
+def _upsample_concat(x: Tensor4D, skip: Tensor4D) -> Tensor4D:
+    """[upsampled x, skip] along channels, in the skip's memory order.
 
     The upsample writes its half in place, so a channels-first ``x`` meets
     a channels-last skip without a transposing copy of the whole result.
     """
     c = x.shape[0]
-    if out is None:
-        out = np.empty_like(skip, shape=(c + skip.shape[0], *skip.shape[1:]))
+    out = np.empty_like(skip, shape=(c + skip.shape[0], *skip.shape[1:]))
     nearest_upsample_2x(x, out=out[:c])
     out[c:] = skip
     return out
@@ -320,11 +340,34 @@ def _upsample_concat(x: Tensor4D, skip: Tensor4D, out: Tensor4D | None = None) -
 # forward pass
 # ---------------------------------------------------------------------------
 
-def _input_buffer(consumer: Layer, dims) -> tuple[Tensor4D | None, Tensor4D | None]:
-    """``halo_buffer(...)`` for ``consumer``'s input when it is a conv larger than 1x1x1, else Nones."""
-    if consumer.kind != "conv" or consumer.kernel == (1, 1, 1):
+def _reads_halo(lay: Layer) -> bool:
+    """A conv larger than 1x1x1 reads its input from a ``halo_buffer``."""
+    return lay.kind == "conv" and lay.kernel != (1, 1, 1)
+
+
+def _is_split_conv(layers: list[Layer], i: int) -> bool:
+    """Layer ``i`` reads an upsample + skip concat as two halves, one halo each."""
+    return i > 0 and layers[i - 1].kind == "upsample" and _reads_halo(layers[i])
+
+
+def _input_buffer(consumer: Layer, dims, channels: int | None = None) -> tuple[Tensor4D | None, Tensor4D | None]:
+    """``halo_buffer(...)`` of ``channels`` (default: all of ``consumer``'s) for
+    ``consumer``'s input when it reads a halo, else Nones."""
+    if not _reads_halo(consumer):
         return None, None
-    return halo_buffer(consumer.cin, dims, tuple(k // 2 for k in consumer.kernel))
+    return halo_buffer(channels or consumer.cin, dims, tuple(k // 2 for k in consumer.kernel))
+
+
+def _skip_readers(layers: list[Layer]) -> dict[int, Layer]:
+    """Each max pool's index -> the conv that reads its skip: the layer after
+    the upsample that pops it."""
+    readers, pools = {}, []
+    for i, lay in enumerate(layers):
+        if lay.kind == "max_pool":
+            pools.append(i)
+        elif lay.kind == "upsample":
+            readers[pools.pop()] = layers[i + 1]
+    return readers
 
 
 def forward(model: Model, x: Tensor4D) -> Tensor4D:
@@ -335,7 +378,9 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
     A conv followed by instance norm skips its bias: the norm subtracts each
     channel's mean, which cancels it. A layer whose output feeds a conv
     larger than 1x1x1 writes it into that conv's ``halo_buffer``; the conv
-    gets the interior as ``x`` and the buffer as ``halo``.
+    gets the interior as ``x`` and the buffer as ``halo``. So a stage's
+    last ReLU writes its skip into a halo for the decoder conv that reads
+    it, which then runs in halves (see the module docstring).
     """
     cfg = model.config
     x = np.asarray(x, dtype=np.float32)
@@ -345,26 +390,42 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
     if any(d % divisor for d in x.shape[1:]):
         raise ValueError(f"spatial dims {x.shape[1:]} must be divisible by {divisor}")
 
-    skips = []
     layers = model.layers
-    halo = out = None
+    readers = _skip_readers(layers)
+    skips = []  # (halo or None, skip), innermost last
+    halo = out = skip = None
     for i, lay in enumerate(layers):
         if lay.kind == "conv":
             normed = i + 1 < len(layers) and layers[i + 1].kind == "instance_norm"
-            x = conv3d(x, lay.weights, None if normed else lay.bias, halo=halo)
+            bias = None if normed else lay.bias
+            if skip is None:
+                x = conv3d(x, lay.weights, bias, halo=halo)
+            else:
+                halves = lay.weights.reshape(lay.cout, 2, lay.cin // 2, *lay.kernel)  # (U, S) along cin
+                acc = conv3d(skip, halves[:, 1], bias, halo=halo)
+                skip = halo = None  # the skip's last reader is done
+                halo, out = _input_buffer(lay, acc.shape[1:], lay.cin // 2)
+                x = nearest_upsample_2x(x, out=out)
+                x = conv3d(x, halves[:, 0], None, halo=halo, out=acc)
+                acc = None  # x holds the sum
             halo = out = None  # the input buffer's last reader is done
         elif lay.kind == "instance_norm":
             x = instance_norm(x, lay.weights, lay.bias, out=x)  # always a conv's fresh output
         elif lay.kind == "relu":
-            halo, out = _input_buffer(layers[i + 1], x.shape[1:])
+            if layers[i + 1].kind == "max_pool":  # the stage's skip
+                reader = readers[i + 1]
+                halo, out = _input_buffer(reader, x.shape[1:], reader.cin // 2)
+            else:
+                halo, out = _input_buffer(layers[i + 1], x.shape[1:])
             x = relu(x, out=x if out is None else out)
         elif lay.kind == "max_pool":
-            skips.append(x)
+            skips.append((halo, x))
             halo, out = _input_buffer(layers[i + 1], [d // 2 for d in x.shape[1:]])
             x = max_pool_2x(x, out=out)
         elif lay.kind == "upsample":
-            halo, out = _input_buffer(layers[i + 1], skips[-1].shape[1:])
-            x = _upsample_concat(x, skips.pop(), out=out)
+            halo, skip = skips.pop()
+            if not _is_split_conv(layers, i + 1):  # a 1x1x1 conv reads the concat
+                x, skip = _upsample_concat(x, skip), None
         elif lay.kind == "softmax":
             x = softmax_channels(x, out=x)
     return x
@@ -431,15 +492,21 @@ def load_weights(path, config: NetworkConfig) -> Model:
             if shapes:
                 n = math.prod(shapes[0])
                 values = np.frombuffer(payload, dtype="<f4", count=n)
-                if lay.kind == "conv" and lay.kernel != (1, 1, 1):
-                    # memory order (kx, kz, cin, ky, cout), logical shape unchanged
-                    values = values.reshape(shapes[0]).transpose(2, 4, 1, 3, 0)
+                if _reads_halo(lay):
+                    # memory order (halves, kx, kz, cin / halves, ky, cout): each
+                    # half's GEMM operand is contiguous
+                    halves = 2 if _is_split_conv(model.layers, i) else 1
+                    part = lay.cin // halves
+                    values = values.reshape(cout, halves, part, kx, ky, kz).transpose(1, 3, 5, 2, 4, 0)
                     stored = np.empty(values.shape, dtype=np.float32)
                     # 16 input channels at a time keeps the strided reads in cache:
                     # half the time of one whole copy for the largest kernels
-                    for c0 in range(0, lay.cin, 16):
-                        stored[:, :, c0:c0 + 16] = values[:, :, c0:c0 + 16]
-                    lay.weights = stored.transpose(4, 2, 0, 3, 1)
+                    for c0 in range(0, part, 16):
+                        stored[:, :, :, c0:c0 + 16] = values[:, :, :, c0:c0 + 16]
+                    # (cout, 2, cin / 2, kx, ky, kz) for a split conv, else (cout, cin, kx, ky, kz)
+                    lay.weights = stored.transpose(5, 0, 3, 1, 4, 2)
+                    if halves == 1:
+                        lay.weights = lay.weights[:, 0]
                 else:
                     lay.weights = values.astype(np.float32).reshape(shapes[0])
                 # an own copy: a view would keep the whole payload alive

@@ -140,6 +140,21 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="constant_p"):
             build_run_config(path)
 
+    def test_patch_size_the_poolings_cannot_halve_fails_before_any_input_is_read(self, tmp_path, capsys):
+        # a 3-stage net pools twice, so each patch dim must be divisible by 4;
+        # infer fails on the config key, before it looks for its missing input
+        path = write_config(tmp_path, ["network.base_width = 2", "network.num_stages = 3",
+                                       "network.kernel_plan = 3,3,3", "inference.patch_size = 10,8,8",
+                                       "inference.stride = 5,4,4"])
+        with pytest.raises(ValueError, match=r"inference\.patch_size: \(10, 8, 8\) must be divisible by 4"):
+            build_run_config(path)
+        out = tmp_path / "labels.nii.gz"
+        code = main(["infer", "--config", path, "--weights", str(tmp_path / "missing.vskw"),
+                     "--output", str(out), str(tmp_path / "missing.nii.gz")])
+        err = capsys.readouterr().err
+        assert code == 2 and "inference.patch_size" in err and "read-input" not in err
+        assert not out.exists()
+
     def test_every_config_flag_dest_is_a_key(self):
         subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         checked = set()

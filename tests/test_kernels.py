@@ -5,7 +5,7 @@ import pytest
 
 from volseg import _kernels
 from volseg._kernels import center_channels, conv3d_core, trilinear_core
-from volseg.network import conv3d, halo_buffer
+from volseg.network import conv3d, halo_buffer, nearest_upsample_2x
 
 from oracles import naive_conv3d, trilinear_eight_corner
 
@@ -196,6 +196,82 @@ class TestConv3dCore:
                 else:
                     assert out.flags.c_contiguous
         np.testing.assert_allclose(expected, naive_conv3d(x, weights, np.zeros(4)), atol=1e-5)
+
+
+def _float64_conv(x, weights):
+    """Zero-padded 3x3x3 cross-correlation in float64, one tap at a time."""
+    cout, cin, k = weights.shape[:3]
+    dims = x.shape[1:]
+    padded = np.pad(x.astype(np.float64), ((0, 0), (1, 1), (1, 1), (1, 1)))
+    out = np.zeros((cout, *dims))
+    for dx in range(k):
+        for dy in range(k):
+            for dz in range(k):
+                window = padded[:, dx:dx + dims[0], dy:dy + dims[1], dz:dz + dims[2]]
+                out += np.tensordot(weights[:, :, dx, dy, dz].astype(np.float64), window, axes=1)
+    return out
+
+
+class TestAccumulator:
+    """conv3d(..., out=acc) adds its result into acc, in acc's memory order."""
+
+    def _check(self, rng, cin, cout, k, dims):
+        x, _, weights = _conv_case(rng, cin, cout, k, dims)
+        # a conv's own output as the accumulator: channels-last for 3x3x3
+        start = conv3d(rng.normal(size=(2, *dims)).astype(np.float32),
+                       rng.normal(size=(cout, 2, k, k, k)).astype(np.float32), None)
+        acc = np.copy(start)  # order K: the copy keeps the memory order
+        halo, interior = halo_buffer(cin, dims, (k // 2,) * 3)
+        interior[...] = x
+        out = conv3d(interior, weights, None, halo=halo, out=acc)
+        assert out is acc
+        np.testing.assert_allclose(acc, start + naive_conv3d(x, weights, np.zeros(cout)), atol=1e-5)
+
+    @pytest.mark.parametrize("cin,cout,k,dims", ORACLE_CASES)
+    def test_conv3d_adds_into_an_accumulator(self, cin, cout, k, dims):
+        self._check(np.random.default_rng(cin * 100 + cout * 10 + k + 2), cin, cout, k, dims)
+
+    @pytest.mark.parametrize("block_planes", [1, 2, 3])
+    @pytest.mark.parametrize("dims", [(7, 5, 4), (5, 1, 3), (5, 2, 3)])
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_accumulator_in_ragged_gemm_blocks(self, monkeypatch, cin, dims, block_planes):
+        # several GEMM blocks, the last one partial, for the K-major (cin =
+        # 1) and the channels-last copies, at Y = 1, 2 and 5
+        monkeypatch.setattr(_kernels, "_GEMM_BLOCK_BYTES", block_planes * _plane_bytes(cin, dims))
+        self._check(np.random.default_rng(cin * 1000 + dims[1] * 10 + block_planes), cin, cin + 2, 3, dims)
+
+    def test_rejects_a_channels_first_accumulator_or_a_wrong_shape(self):
+        x = np.zeros((2, 4, 4, 4), np.float32)
+        weights = np.zeros((3, 2, 3, 3, 3), np.float32)
+        with pytest.raises(ValueError, match="channels-last"):
+            conv3d(x, weights, None, out=np.zeros((3, 4, 4, 4), np.float32))
+        with pytest.raises(ValueError, match="accumulator shape"):
+            conv3d(x, weights, None, out=np.zeros((3, 4, 4, 2), np.float32))
+
+    @pytest.mark.parametrize("low_sign", ["relu", "signed"])
+    def test_split_decoder_conv_error_close_to_concat(self, low_sign):
+        # the decoder's first stage-1 conv: 32 channels at 16^3, upsampled,
+        # and a 32-channel 32^3 skip, to 32 channels with He-uniform weights.
+        # Its skip half into a fresh output plus its upsampled half added
+        # into it rounds three partial sums more than one conv over the
+        # 64-channel concat. With ReLU'd halves, as the network gives them,
+        # over 16 seeds its RMS error against a float64 conv was 0.98 to
+        # 1.02 times the concat's and its largest error 0.84 to 1.25 times;
+        # with signed low-res features, 1.04 to 1.06 and 0.91 to 1.48 times
+        rng = np.random.default_rng(92)
+        low = rng.normal(size=(32, 16, 16, 16)).astype(np.float32)
+        if low_sign == "relu":
+            low = np.maximum(low, 0)
+        skip = np.maximum(rng.normal(size=(32, 32, 32, 32)), 0).astype(np.float32)
+        bound = np.sqrt(6.0 / (27 * 64))
+        weights = rng.uniform(-bound, bound, size=(32, 64, 3, 3, 3)).astype(np.float32)
+        concat = np.concatenate([nearest_upsample_2x(low), skip])
+        exact = _float64_conv(concat, weights)
+        concat_error = conv3d(concat, weights, None) - exact
+        acc = conv3d(skip, weights[:, 32:], None)
+        split_error = conv3d(nearest_upsample_2x(low), weights[:, :32], None, out=acc) - exact
+        assert np.abs(split_error).max() <= 1.6 * np.abs(concat_error).max()
+        assert np.sqrt(np.mean(split_error ** 2)) <= 1.1 * np.sqrt(np.mean(concat_error ** 2))
 
 
 class TestHaloBuffer:

@@ -295,16 +295,14 @@ class TestForward:
                 lay.weights = rng.uniform(0.5, 1.5, size=lay.cout).astype(np.float32)
         x = rng.normal(size=(2, 16, 8, 16)).astype(np.float32)
         written = forward(model, x)
-        monkeypatch.setattr(network, "_input_buffer", lambda consumer, dims: (None, None))
+        monkeypatch.setattr(network, "_input_buffer", lambda *args: (None, None))
         np.testing.assert_array_equal(written, forward(model, x))
 
-    def test_forward_peak_memory_at_most_four_stage_one_activations(self):
-        # one default-network forward at 64x64x32, traced: every 3x3x3
-        # conv reads a halo its producer wrote, so no conv input lives
-        # beside its own padded copy (5.6x when each conv padded its input)
+    @staticmethod
+    def default_forward_peak():
+        """tracemalloc peak of one default-network forward at 64x64x32, and a stage-1 activation's bytes."""
         model = build_unet(NetworkConfig(), init_seed=0)
         x = np.random.default_rng(21).normal(size=(1, 64, 64, 32)).astype(np.float32)
-        stage_one = 4 * 32 * x[0].size
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -312,7 +310,20 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        return peak, 4 * 32 * x[0].size
+
+    def test_forward_peak_memory_at_most_four_stage_one_activations(self):
+        # every 3x3x3 conv reads a halo its producer wrote, so no conv input
+        # lives beside its own padded copy (5.6x when each conv padded its input)
+        peak, stage_one = self.default_forward_peak()
         assert peak <= 4 * stage_one, f"{peak / 1e6:.1f} MB = {peak / stage_one:.2f}x"
+
+    def test_forward_peak_memory_without_a_concat_halo(self):
+        # a 3x3x3 decoder conv reads its skip half and then its upsampled
+        # half, one halo each, so no 64-channel concat halo is built: about
+        # 2.45x, against 3.6x when the decoder's first stage-1 conv read one
+        peak, stage_one = self.default_forward_peak()
+        assert peak <= 2.75 * stage_one, f"{peak / 1e6:.1f} MB = {peak / stage_one:.2f}x"
 
     def test_forward_is_deterministic(self):
         model = build_unet(TOY, init_seed=10)
@@ -335,7 +346,9 @@ class TestForward:
             monkeypatch.setattr(network, name, counting(kind, getattr(network, name)))
         model = build_unet(TOY, init_seed=0)
         forward(model, np.ones((1, 4, 4, 4), np.float32))
-        assert calls == {kind: sum(lay.kind == kind for lay in model.layers) for kind in ops}
+        expected = {kind: sum(lay.kind == kind for lay in model.layers) for kind in ops}
+        expected["conv"] += 1  # the 3x3x3 decoder conv runs on its skip half, then its upsampled half
+        assert calls == expected
 
     def test_shape_errors(self):
         model = build_unet(TOY, init_seed=0)
@@ -490,67 +503,100 @@ class TestLayouts:
     def test_conv3d_sees_the_plan_shapes(self, tmp_path, monkeypatch):
         # x is the logical (cin, d, d, d) input, which the benchmark tracer
         # keys its per-shape conv times on; every 3x3x3 conv but the
-        # network's first reads it from a halo its producer wrote
-        cfg = NetworkConfig(base_width=4, num_stages=3, kernel_plan=(3, 3, 1))
-        path = tmp_path / "net.vskw"
-        save_weights(build_unet(cfg, init_seed=68), path)
-        expected, dims, stack = [], 16, []
-        for lay in layer_plan(cfg):
-            if lay.kind == "conv":
-                halo = (lay.cin, *(dims + 2 * (k // 2) for k in lay.kernel)) if lay.kernel != (1, 1, 1) else None
-                expected.append(((lay.cin, dims, dims, dims), (lay.cout, lay.cin, *lay.kernel), halo))
-            elif lay.kind == "max_pool":
-                stack.append(dims)
-                dims //= 2
-            elif lay.kind == "upsample":
-                dims = stack.pop()
-        expected[0] = expected[0][:2] + (None,)
+        # network's first reads it from a halo its producer wrote. A 3x3x3
+        # decoder conv runs as two convs of half its cin: the skip half into
+        # a fresh output, then the upsampled half added into that output; a
+        # 1x1x1 decoder conv (stage 2 of plan 3,1,1) reads the whole concat
         seen = []
         conv = network.conv3d
 
-        def counting(x, weights, bias, halo=None):
-            seen.append((x.shape, weights.shape, None if halo is None else halo.shape))
+        def counting(x, weights, bias, halo=None, out=None):
+            seen.append((x.shape, weights.shape, None if halo is None else halo.shape, out is not None))
             if halo is not None:
                 assert np.shares_memory(x, halo) and is_channels_last(halo)
-            return conv(x, weights, bias, halo=halo)
+            return conv(x, weights, bias, halo=halo, out=out)
 
         monkeypatch.setattr(network, "conv3d", counting)
-        forward(load_weights(path, cfg), np.ones((1, 16, 16, 16), np.float32))
-        assert seen == expected
+        for kernel_plan in ((3, 3, 1), (3, 1, 1)):
+            cfg = NetworkConfig(base_width=4, num_stages=3, kernel_plan=kernel_plan)
+            path = tmp_path / "net.vskw"
+            save_weights(build_unet(cfg, init_seed=68), path)
+            expected, dims, stack, after_upsample = [], 16, [], False
+            for lay in layer_plan(cfg):
+                if lay.kind == "conv":
+                    if lay.kernel == (1, 1, 1):
+                        expected.append(((lay.cin, dims, dims, dims), (lay.cout, lay.cin, 1, 1, 1), None, False))
+                    else:
+                        halves = 2 if after_upsample else 1
+                        cin = lay.cin // halves
+                        call = ((cin, dims, dims, dims), (lay.cout, cin, *lay.kernel), (cin, *(dims + 2,) * 3))
+                        expected += [call + (False,), call + (True,)][:halves]
+                elif lay.kind == "max_pool":
+                    stack.append(dims)
+                    dims //= 2
+                elif lay.kind == "upsample":
+                    dims = stack.pop()
+                after_upsample = lay.kind == "upsample"
+            expected[0] = expected[0][:2] + (None, False)
+            seen.clear()
+            forward(load_weights(path, cfg), np.ones((1, 16, 16, 16), np.float32))
+            assert seen == expected, kernel_plan
+            assert sum(out for *_, out in seen) == sum(k == 3 for k in kernel_plan[:-1])
 
     @pytest.mark.parametrize("last", [False, True])
-    def test_pool_and_concat_write_into_a_halo(self, last):
+    def test_pool_and_upsample_write_into_a_halo(self, last):
         # either input order, written into a halo_buffer's interior or into
-        # a channels-first array, gives the values of a fresh output
+        # a channels-first array, gives the values of a fresh output; the
+        # concat a 1x1x1 decoder conv reads is [upsampled, skip]
         rng = np.random.default_rng(70)
         x = rng.normal(size=(3, 4, 6, 2)).astype(np.float32)
         low = rng.normal(size=(2, 2, 3, 1)).astype(np.float32)
         if last:
             x, low = channels_last(x), channels_last(low)
-        pooled, concat = max_pool_2x(x), network._upsample_concat(low, x)
+        pooled, upsampled, concat = max_pool_2x(x), nearest_upsample_2x(low), network._upsample_concat(low, x)
         np.testing.assert_array_equal(pooled, naive_max_pool(x))
-        np.testing.assert_array_equal(concat[:2], naive_upsample(low))
+        np.testing.assert_array_equal(upsampled, naive_upsample(low))
+        np.testing.assert_array_equal(concat[:2], upsampled)
         np.testing.assert_array_equal(concat[2:], x)
         _, pool_out = network.halo_buffer(3, (2, 3, 1), (1, 1, 1))
-        _, concat_out = network.halo_buffer(5, (4, 6, 2), (1, 1, 1))
-        for out, fill in ((pool_out, lambda o: max_pool_2x(x, out=o)),
-                          (concat_out, lambda o: network._upsample_concat(low, x, out=o)),
-                          (np.empty((3, 2, 3, 1), np.float32), lambda o: max_pool_2x(x, out=o)),
-                          (np.empty((5, 4, 6, 2), np.float32), lambda o: network._upsample_concat(low, x, out=o))):
-            assert fill(out) is out
-            np.testing.assert_array_equal(out, pooled if out.shape[0] == 3 else concat)
+        _, upsample_out = network.halo_buffer(2, (4, 6, 2), (1, 1, 1))
+        for out, op, arg, expected in ((pool_out, max_pool_2x, x, pooled),
+                                       (upsample_out, nearest_upsample_2x, low, upsampled),
+                                       (np.empty((3, 2, 3, 1), np.float32), max_pool_2x, x, pooled),
+                                       (np.empty((2, 4, 6, 2), np.float32), nearest_upsample_2x, low, upsampled)):
+            assert op(arg, out=out) is out
+            np.testing.assert_array_equal(out, expected)
 
     def test_loaded_weights_memory_order(self, tmp_path):
-        path = tmp_path / "toy.vskw"
-        save_weights(build_unet(TOY, init_seed=69), path)
-        for lay in load_weights(path, TOY).layers:
+        # decoder stage 2 reads its concat with a 1x1x1 conv; decoder stage 1
+        # reads its skip and upsampled halves with a 3x3x3 conv
+        cfg = NetworkConfig(base_width=2, num_stages=3, kernel_plan=(3, 1, 1))
+        built = build_unet(cfg, init_seed=69)
+        path = tmp_path / "net.vskw"
+        save_weights(built, path)
+        layers = load_weights(path, cfg).layers
+        split = 0
+        for prev, lay, made in zip([None] + [lay.kind for lay in layers], layers, built.layers):
             if lay.kind == "conv":
-                assert lay.weights.shape == (lay.cout, lay.cin, *lay.kernel)
-                # a 3x3x3 weight is stored (kx, kz, cin, ky, cout): the GEMM operand
-                order = (2, 4, 1, 3, 0) if lay.kernel == (3, 3, 3) else (0, 1, 2, 3, 4)
-                assert lay.weights.transpose(order).flags.c_contiguous
+                logical = (lay.cout, lay.cin, *lay.kernel)
+                np.testing.assert_array_equal(lay.weights.reshape(logical), made.weights)
+                if lay.kernel == (3, 3, 3) and prev == "upsample":
+                    # (cout, 2, cin/2, kx, ky, kz), the concat's (upsampled,
+                    # skip) halves, stored (2, kx, kz, cin/2, ky, cout): each
+                    # half is its own GEMM operand
+                    assert lay.weights.shape == (lay.cout, 2, lay.cin // 2, *lay.kernel)
+                    assert lay.weights.transpose(1, 3, 5, 2, 4, 0).flags.c_contiguous
+                    for half in (lay.weights[:, 0], lay.weights[:, 1]):
+                        assert half.transpose(2, 4, 1, 3, 0).flags.c_contiguous
+                    split += 1
+                else:
+                    # a 3x3x3 weight is stored (kx, kz, cin, ky, cout): the GEMM operand
+                    assert lay.weights.shape == logical
+                    order = (2, 4, 1, 3, 0) if lay.kernel == (3, 3, 3) else (0, 1, 2, 3, 4)
+                    assert lay.weights.transpose(order).flags.c_contiguous
             if lay.bias is not None:
                 assert lay.bias.flags.owndata  # not a view that keeps the payload alive
+        assert split == 1
 
     # sha256 of the bytes written before weights were stored channels-last
     SAVED = {1: "2cd099f2539d481c90c24948edf8c46e1055a627941e498744396b83b71d933a",
