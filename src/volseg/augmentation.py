@@ -53,6 +53,26 @@ class TransformParams:
     motion_shift: tuple[int, int] = (1, 4)
     motion_weight: tuple[float, float] = (0.05, 0.2)
 
+    def __post_init__(self):
+        # the checks each transform makes when applied, made once here, so a
+        # bad value fails when the config is built, not when a draw hits it
+        self.mirror_axes = tuple(self.mirror_axes)
+        if any(a not in (0, 1, 2) for a in self.mirror_axes):
+            raise ValueError(f"mirror_axes must be within 0..2, got {self.mirror_axes}")
+        if not self.bias_order >= 0:
+            raise ValueError(f"bias_order must be >= 0, got {self.bias_order}")
+        for name in ("contrast_range", "bias_amplitude", "noise_sigma", "motion_shift", "motion_weight"):
+            value = tuple(getattr(self, name))
+            if len(value) != 2 or not value[0] <= value[1]:  # also rejects NaN
+                raise ValueError(f"{name} must be two values low <= high, got {value}")
+            setattr(self, name, value)
+        if not self.contrast_range[0] > 0:
+            raise ValueError(f"contrast_range gamma must be positive, got {self.contrast_range}")
+        if not self.noise_sigma[0] >= 0:
+            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        if not 0.0 <= self.motion_weight[0] <= self.motion_weight[1] <= 1.0:
+            raise ValueError(f"motion_weight must be in [0, 1], got {self.motion_weight}")
+
 
 def scheduled_probability(iteration: int, policy: AugmentationPolicy) -> float:
     """Per-transform probability at a training iteration (1K-plateau ramp)."""

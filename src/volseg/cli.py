@@ -30,7 +30,7 @@ from .metrics import CLASS_NAMES, evaluate_set
 from .network import NetworkConfig, forward, layer_plan, load_weights
 from .nifti import atomic_write_nifti, read_nifti, write_nifti
 from .sampling import PatchSample
-from .volume import LabelMask, Volume3D, resample_linear, resample_nearest, restore_resolution
+from .volume import LabelMask, Volume3D, _check_spacing, resample_linear, resample_nearest, restore_resolution
 
 N_FOLDS = 5
 TASK2_EXEMPT_CHANNELS = frozenset((2, 3))
@@ -104,7 +104,7 @@ _KEYS = {
     "task": (None, "task", _task),
     "seed": (None, "seed", int),
     "weights": (None, "weights", _names),
-    "volume.working_spacing": (None, "working_spacing", _floats),
+    "volume.working_spacing": (None, "working_spacing", lambda v: _check_spacing(_floats(v))),
     "network.base_width": ("network", "base_width", int),
     "network.num_stages": ("network", "num_stages", int),
     "network.kernel_plan": ("network", "kernel_plan", _ints),
@@ -158,7 +158,14 @@ def build_run_config(config_path=None, overrides=None) -> RunConfig:
     task2 = kwargs[None].get("task") == "task2"
     kwargs["network"]["in_channels"] = 4 if task2 else 1
     kwargs["window"]["exempt_channels"] = TASK2_EXEMPT_CHANNELS if task2 else frozenset()
-    cfg = RunConfig(**kwargs[None], **{section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()})
+    sections = {}
+    for section, cls in _SECTIONS.items():
+        try:
+            sections[section] = cls(**kwargs[section])
+        except ValueError as exc:  # name each of the section's fields by its dotted key
+            keys = {name: key for key, (owner, name, _) in _KEYS.items() if owner == section}
+            raise ValueError(re.sub(r"\w+", lambda m: keys.get(m[0], m[0]), str(exc))) from exc
+    cfg = RunConfig(**kwargs[None], **sections)
     # each tile passes num_stages - 1 poolings, so a bad patch fails here, not after every fold is loaded
     divisor = 2 ** (cfg.network.num_stages - 1)
     if any(p % divisor for p in cfg.window.patch_size):

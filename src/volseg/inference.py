@@ -47,6 +47,9 @@ class SlidingWindowConfig:
     def __post_init__(self):
         self.patch_size = tuple(int(p) for p in self.patch_size)
         self.stride = tuple(int(s) for s in self.stride)
+        for name in ("patch_size", "stride"):
+            if len(getattr(self, name)) != 3:
+                raise ValueError(f"{name} must have three entries, got {getattr(self, name)}")
         if any(s < 1 or s > p for s, p in zip(self.stride, self.patch_size)):
             raise ValueError(f"need 0 < stride <= patch_size, got {self.stride} vs {self.patch_size}")
         if self.weighting not in ("equal", "gaussian"):

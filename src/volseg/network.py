@@ -48,7 +48,9 @@ conv's weight as (2, kx, kz, cin/2, ky, cout), each half a GEMM operand.
 No 5-D view has that memory, so its ``weights`` are shaped (cout, 2,
 cin/2, kx, ky, kz), cin split into its (U, S) halves; their reshape to
 (cout, cin, kx, ky, kz) is the logical weight, and the weight file is
-unchanged.
+unchanged. Which layer writes which halo, and so which decoder convs run
+in halves, is one rule in one place: ``_halo_pads``, a function of the
+layer list alone, which ``forward`` and ``load_weights`` both read.
 
 Every conv but the last feeds an instance norm, which subtracts each
 channel's mean and so cancels a per-channel bias; ``forward`` skips those
@@ -340,34 +342,30 @@ def _upsample_concat(x: Tensor4D, skip: Tensor4D) -> Tensor4D:
 # forward pass
 # ---------------------------------------------------------------------------
 
-def _reads_halo(lay: Layer) -> bool:
-    """A conv larger than 1x1x1 reads its input from a ``halo_buffer``."""
-    return lay.kind == "conv" and lay.kernel != (1, 1, 1)
+def _halo_pads(layers: list[Layer]) -> dict[int, tuple[int, int, int]]:
+    """The halo rule: each layer index whose output a conv larger than 1x1x1
+    reads -> that halo's pad, which holds the layer's own output channels.
 
-
-def _is_split_conv(layers: list[Layer], i: int) -> bool:
-    """Layer ``i`` reads an upsample + skip concat as two halves, one halo each."""
-    return i > 0 and layers[i - 1].kind == "upsample" and _reads_halo(layers[i])
-
-
-def _input_buffer(consumer: Layer, dims, channels: int | None = None) -> tuple[Tensor4D | None, Tensor4D | None]:
-    """``halo_buffer(...)`` of ``channels`` (default: all of ``consumer``'s) for
-    ``consumer``'s input when it reads a halo, else Nones."""
-    if not _reads_halo(consumer):
-        return None, None
-    return halo_buffer(channels or consumer.cin, dims, tuple(k // 2 for k in consumer.kernel))
-
-
-def _skip_readers(layers: list[Layer]) -> dict[int, Layer]:
-    """Each max pool's index -> the conv that reads its skip: the layer after
-    the upsample that pops it."""
-    readers, pools = {}, []
+    A conv's producer is the layer before it, and a conv right after an
+    upsample also reads the skip from the ReLU before the matching max pool.
+    The network's first conv has no producer and pads its own input.
+    """
+    pads, skips = {}, []
     for i, lay in enumerate(layers):
         if lay.kind == "max_pool":
-            pools.append(i)
+            skips.append(i - 1)  # the ReLU that makes the skip
         elif lay.kind == "upsample":
-            readers[pools.pop()] = layers[i + 1]
-    return readers
+            skip = skips.pop()
+        elif lay.kind == "conv" and lay.kernel != (1, 1, 1) and i > 0:
+            pads[i - 1] = tuple(k // 2 for k in lay.kernel)
+            if layers[i - 1].kind == "upsample":
+                pads[skip] = pads[i - 1]
+    return pads
+
+
+def _producer_halo(lay: Layer, dims, pad) -> tuple[Tensor4D | None, Tensor4D | None]:
+    """``halo_buffer`` of ``lay``'s output channels at ``pad``, or Nones when ``pad`` is None."""
+    return (None, None) if pad is None else halo_buffer(lay.cout, dims, pad)
 
 
 def forward(model: Model, x: Tensor4D) -> Tensor4D:
@@ -376,11 +374,11 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
     Walks ``model.layers`` in order. The ops are looked up in this module's
     namespace at each call, so a wrapper installed on the module sees them.
     A conv followed by instance norm skips its bias: the norm subtracts each
-    channel's mean, which cancels it. A layer whose output feeds a conv
-    larger than 1x1x1 writes it into that conv's ``halo_buffer``; the conv
-    gets the interior as ``x`` and the buffer as ``halo``. So a stage's
-    last ReLU writes its skip into a halo for the decoder conv that reads
-    it, which then runs in halves (see the module docstring).
+    channel's mean, which cancels it. Each layer that ``_halo_pads`` lists
+    writes its output into a ``halo_buffer`` of that pad; the conv that reads
+    it gets the interior as ``x`` and the buffer as ``halo``. An upsample it
+    lists feeds a decoder conv that runs in halves (see the module
+    docstring); any other upsample builds the concat.
     """
     cfg = model.config
     x = np.asarray(x, dtype=np.float32)
@@ -391,7 +389,7 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
         raise ValueError(f"spatial dims {x.shape[1:]} must be divisible by {divisor}")
 
     layers = model.layers
-    readers = _skip_readers(layers)
+    pads = _halo_pads(layers)
     skips = []  # (halo or None, skip), innermost last
     halo = out = skip = None
     for i, lay in enumerate(layers):
@@ -404,7 +402,7 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
                 halves = lay.weights.reshape(lay.cout, 2, lay.cin // 2, *lay.kernel)  # (U, S) along cin
                 acc = conv3d(skip, halves[:, 1], bias, halo=halo)
                 skip = halo = None  # the skip's last reader is done
-                halo, out = _input_buffer(lay, acc.shape[1:], lay.cin // 2)
+                halo, out = _producer_halo(layers[i - 1], acc.shape[1:], pads[i - 1])
                 x = nearest_upsample_2x(x, out=out)
                 x = conv3d(x, halves[:, 0], None, halo=halo, out=acc)
                 acc = None  # x holds the sum
@@ -412,19 +410,15 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
         elif lay.kind == "instance_norm":
             x = instance_norm(x, lay.weights, lay.bias, out=x)  # always a conv's fresh output
         elif lay.kind == "relu":
-            if layers[i + 1].kind == "max_pool":  # the stage's skip
-                reader = readers[i + 1]
-                halo, out = _input_buffer(reader, x.shape[1:], reader.cin // 2)
-            else:
-                halo, out = _input_buffer(layers[i + 1], x.shape[1:])
+            halo, out = _producer_halo(lay, x.shape[1:], pads.get(i))
             x = relu(x, out=x if out is None else out)
         elif lay.kind == "max_pool":
             skips.append((halo, x))
-            halo, out = _input_buffer(layers[i + 1], [d // 2 for d in x.shape[1:]])
+            halo, out = _producer_halo(lay, [d // 2 for d in x.shape[1:]], pads.get(i))
             x = max_pool_2x(x, out=out)
         elif lay.kind == "upsample":
             halo, skip = skips.pop()
-            if not _is_split_conv(layers, i + 1):  # a 1x1x1 conv reads the concat
+            if i not in pads:  # a 1x1x1 conv reads the concat
                 x, skip = _upsample_concat(x, skip), None
         elif lay.kind == "softmax":
             x = softmax_channels(x, out=x)
@@ -469,6 +463,7 @@ def load_weights(path, config: NetworkConfig) -> Model:
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
             raise WeightFormatError(f"{path}: missing {_MAGIC!r} magic")
+        pads = _halo_pads(model.layers)
         for i, lay in enumerate(model.layers):
             header = f.read(_REC.size)
             if len(header) < _REC.size:
@@ -492,10 +487,10 @@ def load_weights(path, config: NetworkConfig) -> Model:
             if shapes:
                 n = math.prod(shapes[0])
                 values = np.frombuffer(payload, dtype="<f4", count=n)
-                if _reads_halo(lay):
+                if lay.kind == "conv" and lay.kernel != (1, 1, 1):
                     # memory order (halves, kx, kz, cin / halves, ky, cout): each
                     # half's GEMM operand is contiguous
-                    halves = 2 if _is_split_conv(model.layers, i) else 1
+                    halves = 2 if i - 1 in pads and model.layers[i - 1].kind == "upsample" else 1
                     part = lay.cin // halves
                     values = values.reshape(cout, halves, part, kx, ky, kz).transpose(1, 3, 5, 2, 4, 0)
                     stored = np.empty(values.shape, dtype=np.float32)

@@ -193,6 +193,28 @@ class TestTransformBehavior:
         with pytest.raises(ValueError):
             apply_motion_ghost(patch, 1, 1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", (0.1,)),           # one value: uniform(0.1) would draw from [0.1, 1)
+        ("motion_shift", (3,)),            # one value: the draw would index past it
+        ("contrast_range", (1.5, 0.7)),    # low > high
+        ("bias_amplitude", (0.9, 1.0, 1.1)),
+        ("noise_sigma", (float("nan"), 0.1)),
+        ("contrast_range", (0.0, 1.5)),    # gamma must be positive
+        ("noise_sigma", (-0.1, 0.1)),      # sigma must be non-negative
+        ("motion_weight", (0.5, 1.5)),     # a blend weight lies in [0, 1]
+        ("motion_weight", (-0.1, 0.2)),
+        ("bias_order", -1),
+        ("mirror_axes", (0, 3)),
+    ])
+    def test_transform_params_checked_when_built(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            TransformParams(**{field: value})
+
+    def test_edge_transform_params_accepted_as_tuples(self):
+        # a zero-width sigma range and no mirror axes are valid
+        params = TransformParams(noise_sigma=[0.0, 0.0], mirror_axes=[])
+        assert params.noise_sigma == (0.0, 0.0) and params.mirror_axes == ()
+
 
 class TestFastPathOracles:
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])

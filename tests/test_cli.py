@@ -155,6 +155,46 @@ class TestConfigFile:
         assert code == 2 and "inference.patch_size" in err and "read-input" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, key", [
+        ("augmentation.noise_sigma = 0.1", "augmentation.noise_sigma"),
+        ("augmentation.motion_shift = 3", "augmentation.motion_shift"),
+        ("augmentation.contrast_range = 0,1.5", "augmentation.contrast_range"),
+        ("augmentation.motion_weight = 0.1,2", "augmentation.motion_weight"),
+        ("augmentation.mirror_axes = 0,3", "augmentation.mirror_axes"),
+        ("augmentation.bias_order = -1", "augmentation.bias_order"),
+    ])
+    def test_bad_transform_params_fail_when_the_config_is_built(self, tmp_path, capsys, line, key):
+        # augment-preview fails on the key, before it looks for its missing volume
+        path = write_config(tmp_path, [line])
+        with pytest.raises(ValueError, match=re.escape(key)):
+            build_run_config(path)
+        out_dir = tmp_path / "preview"
+        code = main(["augment-preview", "--config", path, "--volume", str(tmp_path / "missing.nii.gz"),
+                     "--mask", str(tmp_path / "missing_mask.nii.gz"), "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2 and key in err and "read-input" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("lines, key", [
+        (["inference.stride = 16,16"], "inference.stride"),
+        (["inference.patch_size = 32,32,32,32", "inference.stride = 16,16,16,16"], "inference.patch_size"),
+        (["inference.patch_size = 32,32", "inference.stride = 16,16"], "inference.patch_size"),
+        (["volume.working_spacing = 1,1"], "volume.working_spacing"),
+        (["volume.working_spacing = 1,0,1"], "volume.working_spacing"),
+    ])
+    def test_window_and_spacing_arity_fail_before_any_input_is_read(self, tmp_path, capsys, lines, key):
+        # infer used to load every fold, then fail in predict's unpack
+        path = write_config(tmp_path, TOY_NET + lines)
+        with pytest.raises(ValueError, match=re.escape(key)):
+            build_run_config(path)
+        out = tmp_path / "labels.nii.gz"
+        code = main(["infer", "--config", path, "--weights", toy_weights(tmp_path),
+                     "--output", str(out), str(tmp_path / "missing.nii.gz")])
+        err = capsys.readouterr().err
+        assert code == 2 and key in err
+        assert "read-input" not in err and "predict" not in err
+        assert not out.exists()
+
     def test_every_config_flag_dest_is_a_key(self):
         subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         checked = set()

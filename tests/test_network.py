@@ -283,8 +283,9 @@ class TestForward:
     @pytest.mark.parametrize("kernel_plan", [(3, 3, 1, 1), (1, 3, 3, 1)])
     def test_producer_written_halos_equal_convs_padding_their_own_input(self, monkeypatch, kernel_plan):
         # 3x3x3 and 1x1x1 stages, random conv biases and norm affines: the
-        # forward whose ReLU, pool and concat write the next conv's halo
-        # gives the bits of one whose every conv pads its own input
+        # forward whose ReLUs, pools and upsamples write the halos that
+        # _halo_pads lists gives the bits of one whose every conv pads its
+        # own input
         cfg = NetworkConfig(in_channels=2, base_width=4, num_stages=4, kernel_plan=kernel_plan)
         model = build_unet(cfg, init_seed=19)
         rng = np.random.default_rng(20)
@@ -295,8 +296,47 @@ class TestForward:
                 lay.weights = rng.uniform(0.5, 1.5, size=lay.cout).astype(np.float32)
         x = rng.normal(size=(2, 16, 8, 16)).astype(np.float32)
         written = forward(model, x)
-        monkeypatch.setattr(network, "_input_buffer", lambda *args: (None, None))
+        skipped = []
+        monkeypatch.setattr(network, "_producer_halo", lambda *args: skipped.append(args) or (None, None))
         np.testing.assert_array_equal(written, forward(model, x))
+        assert skipped
+
+    # (kernel plan, stages) -> {producer's layer index: pad}, read off the
+    # plan by hand. 3 stages: encoder 0-5, pool 6, 7-12, pool 13, 14-19;
+    # decoder stage 2 is 20-29 (upsample 23, convs 24 and 27), stage 1 is
+    # 30-39 (upsample 33, convs 34 and 37). 6 stages: pools 6, 13, 20, 27,
+    # 34; decoder stages 4-1 have upsamples 54, 64, 74, 84 and convs 3 and 6
+    # after each. Each encoder 3x3x3 conv's producer is the ReLU or pool
+    # before it; each decoder one after an upsample also reads the skip
+    # from the ReLU before the matching pool (5, 12, 19, 26)
+    HALO_PADS = {
+        ((3, 3, 3, 3, 1, 1), 6): [2, 6, 9, 13, 16, 20, 23, 5, 12, 19, 26,
+                                  54, 57, 64, 67, 74, 77, 84, 87],
+        ((3, 1, 1), 3): [2, 5, 33, 36],
+        ((1, 1), 2): [],
+        ((3, 3, 3), 3): [2, 6, 9, 13, 16, 12, 23, 26, 5, 33, 36],
+    }
+
+    @pytest.mark.parametrize("plan", HALO_PADS)
+    def test_halo_pads_from_the_plan_alone(self, plan):
+        kernel_plan, stages = plan
+        pads = network._halo_pads(layer_plan(NetworkConfig(num_stages=stages, kernel_plan=kernel_plan)))
+        assert pads == dict.fromkeys(self.HALO_PADS[plan], (1, 1, 1))
+
+    @pytest.mark.parametrize("plan", HALO_PADS)
+    def test_forward_allocates_only_the_halos_the_rule_lists(self, monkeypatch, plan):
+        # every halo_buffer call, the producers' and any conv padding its own
+        # input: one per listed producer, plus the first conv's own when it
+        # is 3x3x3
+        kernel_plan, stages = plan
+        cfg = NetworkConfig(base_width=2, num_stages=stages, kernel_plan=kernel_plan)
+        model = build_unet(cfg, init_seed=22)
+        calls = []
+        buffer = network.halo_buffer
+        monkeypatch.setattr(network, "halo_buffer", lambda *args: calls.append(args) or buffer(*args))
+        forward(model, np.ones((1, *(2 ** (stages - 1),) * 3), np.float32))
+        pads = network._halo_pads(model.layers)
+        assert len(calls) == len(pads) + (kernel_plan[0] == 3)
 
     @staticmethod
     def default_forward_peak():
