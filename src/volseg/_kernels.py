@@ -11,14 +11,17 @@ row past the Y edge would read only zero padding and is left out. The
 copy is a third of a full 27-tap window's, and N is three times cout.
 Given an accumulator, each output block adds these sums instead of taking
 them, so a conv over a channel concat can run as one conv per part.
-The GEMM runs over blocks of whole X planes, and each block's columns are
-copied into one reused buffer just before its GEMM, so the copy never
-holds more than one block. With one input channel the runs would be kz
-floats long, so the columns are copied K-major instead, one shifted slab
-per kernel tap, and the GEMM is ``columns.T @ W`` with the same
-channels-last output. A 1x1x1 kernel needs no copy: ``W @ X`` on the
-input as it is, which gives a channels-first output. Trilinear sampling is
-separable: one 1-D linear interpolation per axis, in float64.
+Every kernel larger than 1x1x1 runs one loop of GEMMs over blocks of
+whole X planes, and each block's columns are copied into one reused buffer
+just before its GEMM, so the copy never holds more than one block. Only
+the copy and the GEMM's orientation depend on the input channels: with one
+channel the runs would be kz floats long, so the columns are copied
+K-major instead, one shifted slab per kernel tap with dy moved into K, and
+the GEMM is ``columns.T @ W``. T then has one tap and, with no
+accumulator, is the output block itself. A 1x1x1 kernel needs no copy:
+``W @ X`` on the input as it is, which gives a channels-first output.
+Trilinear sampling is separable: one 1-D linear interpolation per axis, in
+float64.
 """
 
 import numpy as np
@@ -80,55 +83,48 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray, out: np.ndarray | None 
     sx = halo.shape[1] * sy
     # rows (dx, dz, cin), columns (dy, cout)
     w2d = weights.transpose(2, 4, 1, 3, 0).reshape(kx * kz * cin, ky * cout)
-    if cin == 1:
-        # a window row would be runs of kz floats, so the columns of one GEMM
-        # block are copied K-major instead: one shifted (n, Y, Z) slab per
-        # kernel tap, in W's row order (dx, dz, dy), and the block is
-        # ``columns.T @ W`` with N = cout
-        taps = as_strided(halo, (kx, kz, ky, xs, ys, zs), (sx, sz, sy, sx, sy, sz), writeable=False)
+    k_major = cin == 1
+    if k_major:
+        # a window row would be runs of kz floats, so the columns are copied
+        # K-major instead: one shifted (n, Y, Z) slab per kernel tap, in W's
+        # row order (dx, dz, dy). dy moves into K, and T has one tap.
+        src = as_strided(halo, (kx, kz, ky, xs, ys, zs), (sx, sz, sy, sx, sy, sz), writeable=False)
         w2d = w2d.reshape(kx * kz * ky, cout)
-        rows = w2d.shape[0]
-        plane = ys * zs
-        gemm_planes = min(xs, max(1, _GEMM_BLOCK_BYTES // (4 * rows * plane)))
-        # buffer before output, as below: the other order left infer-net's
-        # peak RSS about 2 MB higher
-        buf = np.empty(rows * gemm_planes * plane, dtype=np.float32)
-        res = np.empty((xs, ys, zs, cout), dtype=np.float32) if acc is None else acc
-        res2d = res.reshape(xs * plane, cout)
-        for x0 in range(0, xs, gemm_planes):
-            n = min(gemm_planes, xs - x0)
-            cols = buf[:rows * n * plane].reshape(kx, kz, ky, n, ys, zs)
-            np.copyto(cols, taps[:, :, :, x0:x0 + n])
-            block = res2d[x0 * plane:(x0 + n) * plane]
-            if acc is None:
-                np.matmul(cols.reshape(rows, n * plane).T, w2d, out=block)
-            else:
-                block += cols.reshape(rows, n * plane).T @ w2d
-        return res.transpose(3, 0, 1, 2) if out is None else out
-
-    # (X, Y, Z, kx, kz * Cin) view of every output voxel's window at its own
-    # y, no copy: the innermost run covers the window's dz and channel axes
-    py = ky // 2
-    windows = as_strided(halo[:, py:], (xs, ys, zs, kx, kz * cin), (sx, sy, sz, sx, sc), writeable=False)
-    rows = w2d.shape[0]
+    else:
+        # (X, Y, Z, kx, kz * Cin) view of every output voxel's window at its own
+        # y, no copy: the innermost run covers the window's dz and channel axes
+        src = as_strided(halo[:, ky // 2:], (xs, ys, zs, kx, kz * cin), (sx, sy, sz, sx, sc), writeable=False)
+    rows, t_cols = w2d.shape
+    t_taps = t_cols // cout
+    py = t_taps // 2  # T's column block of the output's own row
     plane = ys * zs
     gemm_planes = min(xs, max(1, _GEMM_BLOCK_BYTES // (4 * rows * plane)))
+    direct = t_taps == 1 and acc is None  # T is the output block itself
+    # buffers before the output: the other order left infer-net's peak RSS
+    # about 2 MB higher
     buf = np.empty(gemm_planes * plane * rows, dtype=np.float32)
-    tbuf = np.empty(gemm_planes * plane * ky * cout, dtype=np.float32)
+    tbuf = None if direct else np.empty(gemm_planes * plane * t_cols, dtype=np.float32)
     res = np.empty((xs, ys, zs, cout), dtype=np.float32) if acc is None else acc
     for x0 in range(0, xs, gemm_planes):
         n = min(gemm_planes, xs - x0)
         cols = buf[:n * plane * rows]
-        np.copyto(cols.reshape(n, ys, zs, kx, kz * cin), windows[x0:x0 + n])
-        t = tbuf[:n * plane * ky * cout].reshape(n * plane, ky * cout)
-        np.matmul(cols.reshape(n * plane, rows), w2d, out=t)
-        t = t.reshape(n, ys, zs, ky, cout)
+        if k_major:
+            np.copyto(cols.reshape(kx, kz, ky, n, ys, zs), src[:, :, :, x0:x0 + n])
+            cols = cols.reshape(rows, n * plane).T
+        else:
+            np.copyto(cols.reshape(n, ys, zs, kx, kz * cin), src[x0:x0 + n])
+            cols = cols.reshape(n * plane, rows)
         block = res[x0:x0 + n]
+        t = block if direct else tbuf[:n * plane * t_cols]
+        np.matmul(cols, w2d, out=t.reshape(n * plane, t_cols))
+        if direct:
+            continue
+        t = t.reshape(n, ys, zs, t_taps, cout)
         if acc is None:
             np.copyto(block, t[:, :, :, py])
         else:
             block += t[:, :, :, py]
-        for dy in range(ky):
+        for dy in range(t_taps):
             # output row y takes tap dy from T's row y + s; rows past the
             # edge would read only the zero padding
             s = dy - py

@@ -59,6 +59,8 @@ class TransformParams:
         self.mirror_axes = tuple(self.mirror_axes)
         if any(a not in (0, 1, 2) for a in self.mirror_axes):
             raise ValueError(f"mirror_axes must be within 0..2, got {self.mirror_axes}")
+        if not (math.isfinite(self.max_rotation_deg) and self.max_rotation_deg >= 0):
+            raise ValueError(f"max_rotation_deg must be finite and non-negative, got {self.max_rotation_deg}")
         if not self.bias_order >= 0:
             raise ValueError(f"bias_order must be >= 0, got {self.bias_order}")
         for name in ("contrast_range", "bias_amplitude", "noise_sigma", "motion_shift", "motion_weight"):

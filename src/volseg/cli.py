@@ -43,6 +43,21 @@ class PipelineError(Exception):
     """Raised with a stage-named message; exits with code 2."""
 
 
+@dataclass
+class _Stage:
+    """A command's running stage: an exception leaving the ``with`` block
+    becomes a PipelineError named after the stage set last."""
+
+    name: str
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, Exception):
+            raise PipelineError(f"{self.name}: {exc}") from exc
+
+
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in str(text).split(","))
 
@@ -247,32 +262,27 @@ def cmd_infer(cfg: RunConfig, input_paths, output_path) -> int:
     if not cfg.weights:
         raise ValueError("infer needs at least one --weights file")
 
-    stage = "read-input"
-    try:
+    with _Stage("read-input") as stage:
         stacked, reference = _load_channels(cfg, input_paths)
 
-        stage = "load-weights"
+        stage.name = "load-weights"
         models = [load_weights(path, cfg.network) for path in cfg.weights]
 
-        stage = "predict"
+        stage.name = "predict"
         # the window blends each member as it returns; ``forward`` is looked up per call
         members = [lambda patch, model=model: forward(model, patch) for model in models]
         probs = sliding_window_predict(stacked, members, cfg.window)
         del stacked
 
-        stage = "extract-labels"
+        stage.name = "extract-labels"
         labels = argmax_labels(probs)
         del probs  # a float32 view that holds the window's whole float64 numerator
 
-        stage = "restore-resolution"
+        stage.name = "restore-resolution"
         labels = restore_resolution(labels, reference)
 
-        stage = "write-output"
+        stage.name = "write-output"
         atomic_write_nifti(labels, output_path)
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(f"{stage}: {exc}") from exc
     print(f"wrote {output_path}")
     return 0
 
@@ -288,71 +298,76 @@ def cmd_evaluate(truth_dir, pred_dir, csv_path=None, out=None) -> int:
         return {f: os.path.join(d, f) for f in sorted(os.listdir(d))
                 if f.endswith(".nii") or f.endswith(".nii.gz")}
 
-    truth_files = nifti_files(truth_dir)
-    pred_files = nifti_files(pred_dir)
-    common = sorted(set(truth_files) & set(pred_files))
-    for name in sorted(set(truth_files) ^ set(pred_files)):
-        side = "prediction" if name in truth_files else "ground truth"
-        print(f"warning: {name} has no matching {side} file, skipped", file=sys.stderr)
-    if not common:
-        raise PipelineError("evaluate: no matching truth/prediction file pairs")
+    with _Stage("read-input") as stage:
+        truth_files = nifti_files(truth_dir)
+        pred_files = nifti_files(pred_dir)
+        common = sorted(set(truth_files) & set(pred_files))
+        for name in sorted(set(truth_files) ^ set(pred_files)):
+            side = "prediction" if name in truth_files else "ground truth"
+            print(f"warning: {name} has no matching {side} file, skipped", file=sys.stderr)
+        if not common:
+            raise ValueError("no matching truth/prediction file pairs")
 
-    truths, preds, ids = [], [], []
-    for name in common:
-        truths.append(read_nifti(truth_files[name], as_mask=True))
-        preds.append(read_nifti(pred_files[name], as_mask=True))
-        if truths[-1].dims != preds[-1].dims:
-            raise PipelineError(f"evaluate: {name}: dims differ {truths[-1].dims} vs {preds[-1].dims}")
-        ids.append(name.split(".nii")[0])
+        truths, preds, ids = [], [], []
+        for name in common:
+            truths.append(read_nifti(truth_files[name], as_mask=True))
+            preds.append(read_nifti(pred_files[name], as_mask=True))
+            if truths[-1].dims != preds[-1].dims:
+                raise ValueError(f"{name}: dims differ {truths[-1].dims} vs {preds[-1].dims}")
+            ids.append(name.split(".nii")[0])
 
-    result = evaluate_set(truths, preds, ids=ids)
+        stage.name = "evaluate"
+        result = evaluate_set(truths, preds, ids=ids)
 
-    gtvp, gtvn = result.per_class_agg[1], result.per_class_agg[2]
-    print(f"{'':12}{'GTVp':>8}{'GTVn':>8}{'Average':>9}", file=out)
-    print(f"{'DSC_agg':12}{gtvp:>8.4f}{gtvn:>8.4f}{result.mean_agg:>9.4f}", file=out)
+        gtvp, gtvn = result.per_class_agg[1], result.per_class_agg[2]
+        print(f"{'':12}{'GTVp':>8}{'GTVn':>8}{'Average':>9}", file=out)
+        print(f"{'DSC_agg':12}{gtvp:>8.4f}{gtvn:>8.4f}{result.mean_agg:>9.4f}", file=out)
 
-    if csv_path:
-        with open(csv_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["patient_id", "class", "dsc", "precision", "recall"])
-            for rec in result.records:
-                writer.writerow([rec.patient_id, CLASS_NAMES[rec.class_id],
-                                 _fmt(rec.dsc), _fmt(rec.precision), _fmt(rec.recall)])
-            writer.writerow(["AGG_GTVp", "GTVp", _fmt(gtvp), "", ""])
-            writer.writerow(["AGG_GTVn", "GTVn", _fmt(gtvn), "", ""])
-            writer.writerow(["AGG_MEAN", "", _fmt(result.mean_agg), "", ""])
-        print(f"wrote {csv_path}")
+        if csv_path:
+            stage.name = "write-output"
+            with open(csv_path, "w", newline="") as f:
+                writer = csv.writer(f)
+                writer.writerow(["patient_id", "class", "dsc", "precision", "recall"])
+                for rec in result.records:
+                    writer.writerow([rec.patient_id, CLASS_NAMES[rec.class_id],
+                                     _fmt(rec.dsc), _fmt(rec.precision), _fmt(rec.recall)])
+                writer.writerow(["AGG_GTVp", "GTVp", _fmt(gtvp), "", ""])
+                writer.writerow(["AGG_GTVn", "GTVn", _fmt(gtvn), "", ""])
+                writer.writerow(["AGG_MEAN", "", _fmt(result.mean_agg), "", ""])
+            print(f"wrote {csv_path}")
     return 0
 
 
 def cmd_folds(ids_path, seed, output_path) -> int:
-    with open(ids_path) as f:
-        ids = [line.strip() for line in f if line.strip()]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise PipelineError(f"folds: duplicate patient ids {dupes}")
-    if len(ids) < N_FOLDS:
-        raise PipelineError(f"folds: need at least {N_FOLDS} patients, got {len(ids)}")
-    order = np.random.default_rng(seed).permutation(len(ids))
-    assignment = {ids[idx]: pos % N_FOLDS for pos, idx in enumerate(order)}
-    with open(output_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["patient_id", "fold"])
-        for pid in sorted(assignment):
-            writer.writerow([pid, assignment[pid]])
+    with _Stage("read-input") as stage:
+        with open(ids_path) as f:
+            ids = [line.strip() for line in f if line.strip()]
+        if len(ids) != len(set(ids)):
+            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            raise ValueError(f"duplicate patient ids {dupes}")
+        if len(ids) < N_FOLDS:
+            raise ValueError(f"need at least {N_FOLDS} patients, got {len(ids)}")
+        order = np.random.default_rng(seed).permutation(len(ids))
+        assignment = {ids[idx]: pos % N_FOLDS for pos, idx in enumerate(order)}
+
+        stage.name = "write-output"
+        with open(output_path, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["patient_id", "fold"])
+            for pid in sorted(assignment):
+                writer.writerow([pid, assignment[pid]])
     print(f"wrote {output_path}")
     return 0
 
 
 def cmd_augment_preview(cfg: RunConfig, volume_path, mask_path, iteration, out_dir) -> int:
-    stage = "read-input"
-    try:
+    with _Stage("read-input") as stage:
         vol = read_nifti(volume_path)
         mask = read_nifti(mask_path, as_mask=True)
         if vol.dims != mask.dims:
             raise ValueError(f"volume dims {vol.dims} != mask dims {mask.dims}")
 
-        stage = "augment"
+        stage.name = "augment"
         patch = PatchSample((0, 0, 0), vol.data.copy(), mask.labels.copy(), "random")
         rng = np.random.default_rng(cfg.seed)
         log_entries = []
@@ -360,7 +375,7 @@ def cmd_augment_preview(cfg: RunConfig, volume_path, mask_path, iteration, out_d
                                      exempt_channels=cfg.window.exempt_channels, log=log_entries)
         p = scheduled_probability(iteration, cfg.policy)
 
-        stage = "write-output"
+        stage.name = "write-output"
         os.makedirs(out_dir, exist_ok=True)
         write_nifti(Volume3D(result.data, vol.spacing), os.path.join(out_dir, "augmented_volume.nii.gz"))
         write_nifti(LabelMask(result.mask_patch, mask.spacing), os.path.join(out_dir, "augmented_mask.nii.gz"))
@@ -375,10 +390,6 @@ def cmd_augment_preview(cfg: RunConfig, volume_path, mask_path, iteration, out_d
                     f.write(f"applied {name} {args}\n")
             else:
                 f.write("applied none\n")
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(f"{stage}: {exc}") from exc
     print(f"wrote {out_dir}")
     return 0
 

@@ -106,11 +106,14 @@ def resample_linear(vol: Volume3D, target_spacing) -> Volume3D:
     return Volume3D(out, target)
 
 
-def _nearest_indices(n_out: int, spacing_out: float, n_in: int, spacing_in: float) -> np.ndarray:
-    coords = _center_coords(n_out, spacing_out, spacing_in)
-    # nearest input center; exact ties go to the lower index
-    idx = np.ceil(coords - 0.5).astype(np.int64)
-    return np.clip(idx, 0, n_in - 1)
+def _nearest_labels(mask: LabelMask, dims, spacing) -> LabelMask:
+    """The (dims, spacing) grid, each voxel labelled as the nearest ``mask``
+    voxel center in physical coordinates; exact ties go to the lower index."""
+    ix, iy, iz = (
+        np.clip(np.ceil(_center_coords(n, so, si) - 0.5).astype(np.int64), 0, d - 1)
+        for n, so, si, d in zip(dims, spacing, mask.spacing, mask.dims)
+    )
+    return LabelMask(mask.labels[np.ix_(ix, iy, iz)], spacing)
 
 
 def resample_nearest(mask: LabelMask, target_spacing) -> LabelMask:
@@ -118,12 +121,7 @@ def resample_nearest(mask: LabelMask, target_spacing) -> LabelMask:
     target = _check_spacing(target_spacing)
     if target == mask.spacing:
         return LabelMask(mask.labels.copy(), mask.spacing)
-    out_dims = _output_dims(mask.dims, mask.spacing, target)
-    ix, iy, iz = (
-        _nearest_indices(n, so, d, si)
-        for n, so, si, d in zip(out_dims, target, mask.spacing, mask.dims)
-    )
-    return LabelMask(mask.labels[np.ix_(ix, iy, iz)], target)
+    return _nearest_labels(mask, _output_dims(mask.dims, mask.spacing, target), target)
 
 
 def restore_resolution(mask: LabelMask, reference: Volume3D) -> LabelMask:
@@ -132,8 +130,4 @@ def restore_resolution(mask: LabelMask, reference: Volume3D) -> LabelMask:
     The output has exactly the reference dims; each reference voxel takes
     the label of the nearest mask voxel center in physical coordinates.
     """
-    ix, iy, iz = (
-        _nearest_indices(n, so, d, si)
-        for n, so, si, d in zip(reference.dims, reference.spacing, mask.spacing, mask.dims)
-    )
-    return LabelMask(mask.labels[np.ix_(ix, iy, iz)], reference.spacing)
+    return _nearest_labels(mask, reference.dims, reference.spacing)

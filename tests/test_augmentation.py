@@ -205,6 +205,9 @@ class TestTransformBehavior:
         ("motion_weight", (-0.1, 0.2)),
         ("bias_order", -1),
         ("mirror_axes", (0, 3)),
+        ("max_rotation_deg", float("nan")),  # the draw's range would be NaN
+        ("max_rotation_deg", float("inf")),
+        ("max_rotation_deg", -5.0),
     ])
     def test_transform_params_checked_when_built(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} "):

@@ -162,6 +162,8 @@ class TestConfigFile:
         ("augmentation.motion_weight = 0.1,2", "augmentation.motion_weight"),
         ("augmentation.mirror_axes = 0,3", "augmentation.mirror_axes"),
         ("augmentation.bias_order = -1", "augmentation.bias_order"),
+        ("augmentation.max_rotation_deg = nan", "augmentation.max_rotation_deg"),
+        ("augmentation.max_rotation_deg = -5", "augmentation.max_rotation_deg"),
     ])
     def test_bad_transform_params_fail_when_the_config_is_built(self, tmp_path, capsys, line, key):
         # augment-preview fails on the key, before it looks for its missing volume
@@ -302,6 +304,24 @@ class TestFolds:
     def test_too_few_patients_error(self, tmp_path):
         assert main(["folds", self.ids_file(tmp_path, 4), "--output", str(tmp_path / "f.csv")]) == 2
 
+    @pytest.mark.parametrize("fault, stage", [
+        ("missing ids file", "read-input"),
+        ("duplicate ids", "read-input"),
+        ("too few ids", "read-input"),
+        ("missing output directory", "write-output"),
+    ])
+    def test_errors_name_their_stage(self, tmp_path, capsys, fault, stage):
+        ids = self.ids_file(tmp_path, 4 if fault == "too few ids" else 6)
+        if fault == "missing ids file":
+            ids = str(tmp_path / "missing.txt")
+        if fault == "duplicate ids":
+            with open(ids, "a") as f:
+                f.write("patient000\n")
+        out = tmp_path / "no_dir" / "f.csv" if fault == "missing output directory" else tmp_path / "f.csv"
+        assert main(["folds", ids, "--output", str(out)]) == 2
+        assert f"error: {stage}: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def write_masks(self, tmp_path, rng, names, sub):
@@ -361,6 +381,29 @@ class TestEvaluate:
         truth_dir, _ = self.write_masks(tmp_path, rng, ["a.nii"], "truth")
         pred_dir, _ = self.write_masks(tmp_path, rng, ["b.nii"], "pred")
         assert main(["evaluate", str(truth_dir), str(pred_dir)]) == 2
+
+    @pytest.mark.parametrize("fault, stage", [
+        ("missing truth directory", "read-input"),
+        ("corrupt truth file", "read-input"),
+        ("dims differ", "read-input"),
+        ("missing csv directory", "write-output"),
+    ])
+    def test_errors_name_their_stage(self, tmp_path, capsys, fault, stage):
+        rng = np.random.default_rng(5)
+        truth_dir, _ = self.write_masks(tmp_path, rng, ["a.nii"], "truth")
+        pred_dir, _ = self.write_masks(tmp_path, rng, ["a.nii"], "pred")
+        args = ["evaluate", str(truth_dir), str(pred_dir)]
+        if fault == "missing truth directory":
+            args[1] = str(tmp_path / "no_truth")
+        elif fault == "corrupt truth file":
+            (truth_dir / "a.nii").write_bytes(b"\0" * 100)  # shorter than a NIfTI-1 header
+        elif fault == "dims differ":
+            write_nifti(LabelMask(np.zeros((6, 6, 5), np.uint8), (1, 1, 1)), pred_dir / "a.nii")
+        else:
+            args += ["--csv", str(tmp_path / "no_dir" / "report.csv")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {stage}: " in err and "Traceback" not in err
 
     def test_truncated_gzip_mask_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(4)

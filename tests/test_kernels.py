@@ -149,15 +149,19 @@ class TestConv3dCore:
         assert np.abs(error).max() <= np.abs(im2col_error).max()
         assert np.sqrt(np.mean(error ** 2)) <= np.sqrt(np.mean(im2col_error ** 2))
 
-    def test_scratch_memory_is_output_plus_shape_fixed_buffers(self, monkeypatch):
+    @pytest.mark.parametrize("accumulate", [False, True])
+    @pytest.mark.parametrize("cin, cout, dims", [(32, 96, (10, 8, 8)), (1, 32, (10, 32, 32))])
+    def test_scratch_memory_is_output_plus_shape_fixed_buffers(self, monkeypatch, cin, cout, dims, accumulate):
         # A channels-last input and weights in load_weights' order are read
-        # without a copy, so the kernel allocates only its output, one GEMM
-        # block of columns and that block's T. The slack holds numpy's
-        # iterator buffers (25 to 90 KB by shape, whatever the size); a copy
-        # of the weights (332 KB), a second T (147 KB) or a second block of
-        # columns (147 KB) would exceed it.
+        # without a copy, so the kernel allocates only its output (none when
+        # it adds into an accumulator), one GEMM block of columns and that
+        # block's T. With one input channel, dy is in K and T has one tap; with
+        # no accumulator T is the output block itself, so there is no T. The
+        # slack holds numpy's iterator buffers (25 to 90 KB by shape, whatever
+        # the size); a copy of the weights (332 KB at cin = 32), a second T
+        # (147 or 262 KB), a second block of columns (147 or 221 KB) or the
+        # output (245 KB or 1.3 MB) would exceed it.
         rng = np.random.default_rng(91)
-        cin, cout, dims = 32, 96, (10, 8, 8)
         _, padded, weights = _conv_case(rng, cin, cout, 3, dims)
         padded = np.ascontiguousarray(padded.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
         weights = _stored(weights)
@@ -166,17 +170,21 @@ class TestConv3dCore:
         cols, w2d = _im2col(padded, weights)
         expected = (cols.astype(np.float64) @ w2d).reshape(*dims, cout).transpose(3, 0, 1, 2)
         del cols, w2d
+        start = rng.normal(size=(*dims, cout)).astype(np.float32).transpose(3, 0, 1, 2)
+        acc = start.copy(order="K") if accumulate else None
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = conv3d_core(padded, weights)
+            out = conv3d_core(padded, weights, out=acc)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        output = 0 if accumulate else out.nbytes
         columns = 2 * _plane_bytes(cin, dims)
-        t_block = 4 * 2 * plane_rows * 3 * cout
-        assert out.nbytes + columns + t_block <= peak <= out.nbytes + columns + t_block + (96 << 10), peak
-        np.testing.assert_allclose(out, expected, atol=1e-4)
+        taps = 1 if cin == 1 else 3
+        t_block = 4 * 2 * plane_rows * taps * cout if accumulate or taps > 1 else 0
+        assert output + columns + t_block <= peak <= output + columns + t_block + (96 << 10), peak
+        np.testing.assert_allclose(out, expected + start if accumulate else expected, atol=1e-4)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_memory_order_of_inputs_and_output(self, k):
