@@ -45,8 +45,8 @@ class PipelineError(Exception):
 
 @dataclass
 class _Stage:
-    """A command's running stage: an exception leaving the ``with`` block
-    becomes a PipelineError named after the stage set last."""
+    """A command's running stage (or the flag it checks): an exception leaving
+    the ``with`` block becomes a PipelineError named after the stage set last."""
 
     name: str
 
@@ -107,6 +107,13 @@ def _task(text: str) -> str:
     return text
 
 
+def _seed(value) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _names(value) -> list[str]:
     # a comma-separated file value, or the list a repeated flag collects
     if isinstance(value, str):
@@ -117,7 +124,7 @@ def _names(value) -> list[str]:
 # dotted key -> (section, field, parser); section None is RunConfig itself
 _KEYS = {
     "task": (None, "task", _task),
-    "seed": (None, "seed", int),
+    "seed": (None, "seed", _seed),
     "weights": (None, "weights", _names),
     "volume.working_spacing": (None, "working_spacing", lambda v: _check_spacing(_floats(v))),
     "network.base_width": ("network", "base_width", int),
@@ -339,6 +346,8 @@ def cmd_evaluate(truth_dir, pred_dir, csv_path=None, out=None) -> int:
 
 
 def cmd_folds(ids_path, seed, output_path) -> int:
+    with _Stage("--seed"):
+        seed = _seed(seed)
     with _Stage("read-input") as stage:
         with open(ids_path) as f:
             ids = [line.strip() for line in f if line.strip()]
@@ -361,6 +370,8 @@ def cmd_folds(ids_path, seed, output_path) -> int:
 
 
 def cmd_augment_preview(cfg: RunConfig, volume_path, mask_path, iteration, out_dir) -> int:
+    with _Stage("--iter"):
+        p = scheduled_probability(iteration, cfg.policy)
     with _Stage("read-input") as stage:
         vol = read_nifti(volume_path)
         mask = read_nifti(mask_path, as_mask=True)
@@ -373,7 +384,6 @@ def cmd_augment_preview(cfg: RunConfig, volume_path, mask_path, iteration, out_d
         log_entries = []
         result = apply_augmentations(patch, cfg.params, cfg.policy, iteration, rng,
                                      exempt_channels=cfg.window.exempt_channels, log=log_entries)
-        p = scheduled_probability(iteration, cfg.policy)
 
         stage.name = "write-output"
         os.makedirs(out_dir, exist_ok=True)

@@ -1,7 +1,7 @@
 """Sliding-window whole-volume prediction with weighted overlap blending.
 
-The volume is tiled into patches on a stride grid (with a final offset
-flush to the far edge when the last step overshoots). Each patch is
+The tiles are every combination of each axis's patch starts on a stride
+grid (the last flush with the far edge). Each patch is
 normalized patch-wise once and run through every fold member's predictor,
 one member at a time. ``ensemble_predict`` adds each member's
 probabilities, weighted by ``kernel / F`` for F members, straight into a
@@ -13,9 +13,9 @@ is written over the front of the numerator's own buffer.
 
 Overlaps can be blended with equal weights or with a separable Gaussian
 kernel falling from 1 at the patch center to a configurable edge value
-per axis. Both kernels are outer products of per-axis profiles and the
-tile offsets form a grid, so the summed weight (the denominator) is the
-outer product of three 1-D per-axis sums: no denominator volume is kept.
+per axis. Both kernels are outer products of per-axis profiles, so the
+summed weight (the denominator) is the outer product of three 1-D sums of
+each profile over its axis's starts: no denominator volume is kept.
 Argmax turns probabilities into labels.
 """
 
@@ -102,21 +102,15 @@ def equal_weight_kernel(size) -> WeightKernel:
     return WeightKernel(size, tuple(np.ones(n) for n in size))
 
 
-def _axis_offsets(dim: int, patch: int, stride: int) -> list[int]:
-    offsets = list(range(0, dim - patch + 1, stride))
-    if not offsets:
-        offsets = [0]
-    if offsets[-1] + patch < dim:
-        offsets.append(dim - patch)  # flush with the far edge
-    return offsets
+def _axis_offsets(volume_dims, config: SlidingWindowConfig) -> list[list[int]]:
+    """Each axis's patch starts: the stride grid, then the start flush with the far edge."""
+    return [[*range(0, dim - patch, stride), max(dim - patch, 0)]
+            for dim, patch, stride in zip(volume_dims, config.patch_size, config.stride)]
 
 
 def tile_offsets(volume_dims, config: SlidingWindowConfig) -> list[tuple[int, int, int]]:
-    """Patch corner offsets covering the volume, Z-outer / Y / X-inner order."""
-    ox, oy, oz = (
-        _axis_offsets(d, p, s)
-        for d, p, s in zip(volume_dims, config.patch_size, config.stride)
-    )
+    """Patch corner offsets: every combination of the per-axis starts, Z-outer / Y / X-inner order."""
+    ox, oy, oz = _axis_offsets(volume_dims, config)
     return [(x, y, z) for z in oz for y in oy for x in ox]
 
 
@@ -126,27 +120,17 @@ def _kernel_for(config: SlidingWindowConfig) -> WeightKernel:
     return equal_weight_kernel(config.patch_size)
 
 
-def _axis_weight_sums(offsets, kernel: WeightKernel, work_dims) -> list[np.ndarray]:
-    """Per-axis sums of the kernel profiles over the tiles' per-axis starts.
+def _axis_weight_sums(starts, kernel: WeightKernel, work_dims) -> list[np.ndarray]:
+    """Per-axis sums of the kernel profiles over each axis's patch starts.
 
-    The summed weight at (x, y, z) is ``sums[0][x] * sums[1][y] *
-    sums[2][z]`` only when ``offsets`` holds every tile of its per-axis
-    grid exactly once, so any other list is rejected.
+    The tiles are every combination of ``starts``, so the summed weight at
+    (x, y, z) is ``sums[0][x] * sums[1][y] * sums[2][z]``.
     """
-    offsets = [tuple(int(v) for v in o) for o in offsets]
-    starts = [sorted({o[axis] for o in offsets}) for axis in range(3)]
-    grid = {(x, y, z) for x in starts[0] for y in starts[1] for z in starts[2]}
-    if len(offsets) != len(grid) or set(offsets) != grid:
-        raise ValueError("tile offsets must be a grid with every tile once")
     sums = []
     for axis_starts, profile, dim in zip(starts, kernel.profiles, work_dims):
-        if axis_starts and (axis_starts[0] < 0 or axis_starts[-1] + len(profile) > dim):
-            raise ValueError(f"tile offsets {axis_starts} put a patch of {len(profile)} outside {dim} voxels")
         total = np.zeros(dim)
         for start in axis_starts:
             total[start:start + len(profile)] += profile
-        if not (total > 0).all():
-            raise ValueError("tiling left voxels uncovered")
         sums.append(total)
     return sums
 
@@ -156,16 +140,15 @@ def _slab_planes(*plane_shape) -> int:
     return max(1, _SLAB_BYTES // (8 * int(np.prod(plane_shape))))
 
 
-def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: SlidingWindowConfig,
-                           offsets=None) -> Volume3D:
+def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: SlidingWindowConfig) -> Volume3D:
     """Tiled whole-volume prediction blended over fold members; 3-channel probabilities.
 
     ``predictors`` lists the fold members (one model is ``[predictor]``);
     the result is the mean of their windows. Normalization is applied
     once per extracted patch (exempt channels pass through untouched)
-    before the members run. The result does not depend on tile order;
-    ``offsets`` exists to let tests exercise that, and must hold every
-    tile of a grid once.
+    before the members run. The tiles are ``tile_offsets`` of the volume
+    (padded up to the patch where it is smaller); the result does not
+    depend on their order.
 
     The result's data is a float32 view over the front of the window's
     float64 numerator, so while it is held it keeps twice its own bytes
@@ -184,16 +167,14 @@ def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: S
         data = np.pad(data, ((0, 0), (0, pad[0]), (0, pad[1]), (0, pad[2])))
     work_dims = data.shape[1:]
 
-    if offsets is None:
-        offsets = tile_offsets(work_dims, config)
     kernel = _kernel_for(config)
-    den_axes = _axis_weight_sums(offsets, kernel, work_dims)
+    den_axes = _axis_weight_sums(_axis_offsets(work_dims, config), kernel, work_dims)
     weights = kernel.weights  # float64; each member's share of a tile's weight
     weights /= len(predictors)
     px, py, pz = config.patch_size
 
     num = None
-    for ox, oy, oz in offsets:
+    for ox, oy, oz in tile_offsets(work_dims, config):
         patch = data[:, ox:ox + px, oy:oy + py, oz:oz + pz]
         patch = normalize_patchwise(patch, exempt_channels=config.exempt_channels)
         for predict in predictors:

@@ -196,7 +196,7 @@ def test_criterion_05_gaussian_kernel():
         np.testing.assert_allclose(out_eq.data, out_ga.data, atol=1e-6)
 
 
-def test_criterion_06_sliding_window_geometry():
+def test_criterion_06_sliding_window_geometry(monkeypatch):
     with criterion(6, "tiling coverage, flush offsets, order invariance"):
         cfg = SlidingWindowConfig(patch_size=(4, 1, 1), stride=(3, 1, 1))
         assert [o[0] for o in tile_offsets((10, 1, 1), cfg)] == [0, 3, 6]
@@ -227,9 +227,18 @@ def test_criterion_06_sliding_window_geometry():
         vol = Volume3D(rng.normal(size=(1, 8, 6, 4)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=(4, 4, 2), stride=(2, 2, 2), weighting="gaussian")
         offsets = tile_offsets(vol.dims, cfg)
-        out_a = sliding_window_predict(vol, [soft], cfg, offsets=offsets)
+        out_a = sliding_window_predict(vol, [soft], cfg)
         shuffled = [offsets[i] for i in rng.permutation(len(offsets))]
-        out_b = sliding_window_predict(vol, [soft], cfg, offsets=shuffled)
+        assert shuffled != offsets
+        calls = []
+
+        def shuffled_tiles(volume_dims, config):
+            calls.append((tuple(volume_dims), config))
+            return shuffled
+
+        monkeypatch.setattr("volseg.inference.tile_offsets", shuffled_tiles)
+        out_b = sliding_window_predict(vol, [soft], cfg)
+        assert calls == [(vol.dims, cfg)]  # the window took its tiles from the substitute
         np.testing.assert_allclose(out_a.data, out_b.data, atol=1e-6)
 
 

@@ -197,6 +197,21 @@ class TestConfigFile:
         assert "read-input" not in err and "predict" not in err
         assert not out.exists()
 
+    def test_negative_seed_fails_when_the_config_is_built(self, tmp_path, capsys):
+        path = write_config(tmp_path, ["seed = -1"])
+        with pytest.raises(ValueError, match=r"^seed: expected a non-negative integer, got -1$"):
+            build_run_config(path)
+        # the --seed flag of a config command goes through the same key, before any input is read
+        out, out_dir = tmp_path / "labels.nii.gz", tmp_path / "preview"
+        missing = str(tmp_path / "missing.nii.gz")
+        for argv in (["infer", "--seed", "-1", "--weights", str(tmp_path / "missing.vskw"),
+                      "--output", str(out), missing],
+                     ["augment-preview", "--seed", "-1", "--volume", missing, "--mask", missing,
+                      "--out-dir", str(out_dir)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: seed: expected a non-negative integer, got -1\n"
+        assert not out.exists() and not out_dir.exists()
+
     def test_every_config_flag_dest_is_a_key(self):
         subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         checked = set()
@@ -320,6 +335,13 @@ class TestFolds:
         out = tmp_path / "no_dir" / "f.csv" if fault == "missing output directory" else tmp_path / "f.csv"
         assert main(["folds", ids, "--output", str(out)]) == 2
         assert f"error: {stage}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_negative_seed_is_refused_before_the_ids_file_is_read(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main(["folds", str(tmp_path / "missing.txt"), "--seed", "-1", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed: expected a non-negative integer, got -1\n"
         assert not out.exists()
 
 
@@ -679,7 +701,16 @@ class TestAugmentPreview:
         vol, mask = self.inputs(tmp_path)
         assert main(["augment-preview", "--volume", vol, "--mask", mask, "--total", "100",
                      "--iter", "150", "--out-dir", str(tmp_path / "preview")]) == 2
-        assert "augment:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --iter: iteration 150 outside [0, 100]\n"
+        assert not (tmp_path / "preview").exists()
+
+    @pytest.mark.parametrize("iteration", ["999999999", "-1"])
+    def test_iter_outside_the_schedule_is_refused_before_any_read(self, tmp_path, capsys, iteration):
+        missing, out_dir = str(tmp_path / "missing.nii.gz"), tmp_path / "preview"
+        assert main(["augment-preview", "--volume", missing, "--mask", missing,
+                     "--iter", iteration, "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: --iter: iteration {iteration} outside [0, 100000]\n"
+        assert not out_dir.exists()
 
     def test_constant_p_above_one_is_data_error(self, tmp_path, capsys):
         vol, mask = self.inputs(tmp_path)

@@ -167,14 +167,23 @@ class TestSlidingWindow:
         out = sliding_window_predict(vol, [mean_predictor], cfg)
         np.testing.assert_allclose(out.data.sum(axis=0), 1.0, atol=1e-5)
 
-    def test_tile_order_does_not_change_result(self):
+    def test_tile_order_does_not_change_result(self, monkeypatch):
         rng = np.random.default_rng(5)
         vol = Volume3D(rng.normal(size=(1, 8, 6, 4)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=(4, 4, 2), stride=(2, 2, 2), weighting="gaussian")
         offsets = tile_offsets(vol.dims, cfg)
-        out_fwd = sliding_window_predict(vol, [mean_predictor], cfg, offsets=offsets)
+        out_fwd = sliding_window_predict(vol, [mean_predictor], cfg)
         shuffled = [offsets[i] for i in rng.permutation(len(offsets))]
-        out_shuf = sliding_window_predict(vol, [mean_predictor], cfg, offsets=shuffled)
+        assert shuffled != offsets
+        calls = []
+
+        def shuffled_tiles(volume_dims, config):
+            calls.append((tuple(volume_dims), config))
+            return shuffled
+
+        monkeypatch.setattr(inference, "tile_offsets", shuffled_tiles)
+        out_shuf = sliding_window_predict(vol, [mean_predictor], cfg)
+        assert calls == [(vol.dims, cfg)]  # the window took its tiles from the substitute
         np.testing.assert_allclose(out_fwd.data, out_shuf.data, atol=1e-6)
 
     def test_matches_manual_two_patch_accumulation(self):
@@ -256,23 +265,6 @@ class TestSlidingWindow:
                 den[region] += kernel
             np.testing.assert_allclose(out.data, (num / den).astype(np.float32), atol=1e-6)
 
-    def test_offsets_must_be_a_grid_with_every_tile_once(self):
-        vol = Volume3D(np.ones((1, 8, 6, 4), np.float32), (1, 1, 1))
-        cfg = SlidingWindowConfig(patch_size=(4, 4, 2), stride=(2, 2, 2))
-        offsets = tile_offsets(vol.dims, cfg)
-        member = [constant_predictor((0.2, 0.3, 0.5))]
-        for bad in (offsets + [offsets[3]], offsets[:-1], [offsets[0], offsets[-1]]):
-            with pytest.raises(ValueError, match="grid with every tile once"):
-                sliding_window_predict(vol, member, cfg, offsets=bad)
-        with pytest.raises(ValueError, match="outside"):
-            sliding_window_predict(vol, member, cfg, offsets=[(6, 0, 0)])
-        with pytest.raises(ValueError, match="outside"):
-            sliding_window_predict(vol, member, cfg, offsets=[(-1, 0, 0)])
-        with pytest.raises(ValueError, match="uncovered"):
-            sliding_window_predict(vol, member, cfg, offsets=[(0, 0, 0), (4, 0, 0)])
-        with pytest.raises(ValueError, match="uncovered"):
-            sliding_window_predict(vol, member, cfg, offsets=[])
-
     def test_one_member_output_alive_at_a_time(self):
         rng = np.random.default_rng(21)
         vol = Volume3D(rng.normal(size=(1, 8, 6, 4)).astype(np.float32), (1, 1, 1))
@@ -332,15 +324,14 @@ class TestSlidingWindow:
 
             work_dims = tuple(max(d, p) for d, p in zip(dims, cfg.patch_size))
             data = np.pad(vol.data, [(0, 0)] + [(0, w - d) for w, d in zip(work_dims, dims)])
-            offsets = tile_offsets(work_dims, cfg)
             kernel = gaussian_weight_kernel(cfg.patch_size)
             num = np.zeros((channels, *work_dims))
-            for ox, oy, oz in offsets:
+            for ox, oy, oz in tile_offsets(work_dims, cfg):
                 region = (slice(None), slice(ox, ox + 4), slice(oy, oy + 4), slice(oz, oz + 4))
                 tile = normalize_patchwise(data[region])
                 for member in members:
                     num[region] += member(tile) * (kernel.weights / len(members))
-            dx, dy, dz = inference._axis_weight_sums(offsets, kernel, work_dims)
+            dx, dy, dz = inference._axis_weight_sums(inference._axis_offsets(work_dims, cfg), kernel, work_dims)
             den = dx[:, None, None] * np.multiply.outer(dy, dz)
             expected = (num / den)[:, :dims[0], :dims[1], :dims[2]].astype(np.float32)
             assert out.data.shape == (channels, *dims)
