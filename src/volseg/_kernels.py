@@ -21,7 +21,7 @@ the GEMM is ``columns.T @ W``. T then has one tap and, with no
 accumulator, is the output block itself. A 1x1x1 kernel needs no copy:
 ``W @ X`` on the input as it is, which gives a channels-first output.
 Trilinear sampling is separable: one 1-D linear interpolation per axis, in
-float64.
+float64, run over one slab of output X planes at a time.
 """
 
 import numpy as np
@@ -38,6 +38,11 @@ from numpy.lib.stride_tricks import as_strided
 # OpenBLAS keeps more of its buffer resident for a GEMM with more rows: 4
 # MB blocks left infer-net's peak RSS about 4 MB higher than 1 MB blocks.
 _GEMM_BLOCK_BYTES = 1 << 20
+
+# Bytes of the float64 slab of whole X planes (at least one) that a
+# slab-wise pass works through: trilinear sampling here, and the window's
+# blend and division in ``volseg.inference``.
+_SLAB_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +144,10 @@ def conv3d_core(padded: np.ndarray, weights: np.ndarray, out: np.ndarray | None 
 # ---------------------------------------------------------------------------
 # Trilinear sampling of a 3D grid at separable per-axis coordinates.
 # src: (X, Y, Z) float32; cx/cy/cz: float64 coordinates already clamped to
-# the valid domain [0, dim-1]. Returns (len(cx), len(cy), len(cz)) float32.
+# the valid domain [0, dim-1]. Returns (len(cx), len(cy), len(cz)) float32,
+# written into ``out`` when given. The three passes run on one slab of
+# output X planes at a time, so no float64 copy of src or of a whole pass
+# is made.
 # ---------------------------------------------------------------------------
 
 def _axis_corners(coord: np.ndarray, dim: int):
@@ -154,24 +162,29 @@ def _axis_corners(coord: np.ndarray, dim: int):
 
 
 def _lerp_axis(t: np.ndarray, coord: np.ndarray, axis: int) -> np.ndarray:
-    """Linear interpolation of ``t`` (float64) along one axis."""
+    """Linear interpolation of ``t`` along one axis, in float64."""
     lo, hi, frac = _axis_corners(coord, t.shape[axis])
     shape = [1, 1, 1]
     shape[axis] = len(coord)
     frac = frac.reshape(shape)
-    out = np.take(t, lo, axis=axis)
+    out = np.take(t, lo, axis=axis).astype(np.float64, copy=False)
     out *= 1.0 - frac
-    upper = np.take(t, hi, axis=axis)
+    upper = np.take(t, hi, axis=axis).astype(np.float64, copy=False)
     upper *= frac
     out += upper
     return out
 
 
-def trilinear_core(src: np.ndarray, cx: np.ndarray, cy: np.ndarray, cz: np.ndarray) -> np.ndarray:
-    t = _lerp_axis(src.astype(np.float64), cx, 0)
-    t = _lerp_axis(t, cy, 1)
-    t = _lerp_axis(t, cz, 2)
-    return t.astype(np.float32)
+def trilinear_core(src: np.ndarray, cx: np.ndarray, cy: np.ndarray, cz: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty((len(cx), len(cy), len(cz)), dtype=np.float32)
+    step = max(1, _SLAB_BYTES // (8 * max(src.shape[1], len(cy)) * max(src.shape[2], len(cz))))
+    for x0 in range(0, len(cx), step):
+        t = _lerp_axis(src, cx[x0:x0 + step], 0)
+        t = _lerp_axis(t, cy, 1)
+        out[x0:x0 + step] = _lerp_axis(t, cz, 2)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,16 +24,12 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import normalize_patchwise
+from ._kernels import _SLAB_BYTES
+from .sampling import normalize_patchwise, zero_filled_patch
 from .volume import LabelMask, Volume3D
 
 # accepts a normalized (C_in, px, py, pz) patch, returns (3, px, py, pz) probabilities
 Predictor = Callable[[np.ndarray], np.ndarray]
-
-# Bytes of the float64 buffer a blend or the final division works through,
-# in whole X planes (at least one) and never more than the patch or volume
-# it covers; the division's float32 quotient buffer is half that.
-_SLAB_BYTES = 1 << 20
 
 
 @dataclass
@@ -120,17 +116,17 @@ def _kernel_for(config: SlidingWindowConfig) -> WeightKernel:
     return equal_weight_kernel(config.patch_size)
 
 
-def _axis_weight_sums(starts, kernel: WeightKernel, work_dims) -> list[np.ndarray]:
-    """Per-axis sums of the kernel profiles over each axis's patch starts.
+def _axis_weight_sums(starts, kernel: WeightKernel, dims) -> list[np.ndarray]:
+    """Per-axis sums of the kernel profiles over each axis's patch starts, cut at ``dims``.
 
     The tiles are every combination of ``starts``, so the summed weight at
     (x, y, z) is ``sums[0][x] * sums[1][y] * sums[2][z]``.
     """
     sums = []
-    for axis_starts, profile, dim in zip(starts, kernel.profiles, work_dims):
+    for axis_starts, profile, dim in zip(starts, kernel.profiles, dims):
         total = np.zeros(dim)
         for start in axis_starts:
-            total[start:start + len(profile)] += profile
+            total[start:start + len(profile)] += profile[:dim - start]
         sums.append(total)
     return sums
 
@@ -146,9 +142,9 @@ def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: S
     ``predictors`` lists the fold members (one model is ``[predictor]``);
     the result is the mean of their windows. Normalization is applied
     once per extracted patch (exempt channels pass through untouched)
-    before the members run. The tiles are ``tile_offsets`` of the volume
-    (padded up to the patch where it is smaller); the result does not
-    depend on their order.
+    before the members run. The tiles are ``tile_offsets`` of the volume,
+    in any order; one that overhangs a volume shorter than the patch is
+    read zero-filled and blended only where it lies inside.
 
     The result's data is a float32 view over the front of the window's
     float64 numerator, so while it is held it keeps twice its own bytes
@@ -161,56 +157,50 @@ def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: S
     if not predictors:
         raise ValueError("the window needs at least one predictor")
     dims = vol.dims
-    pad = [max(p - d, 0) for p, d in zip(config.patch_size, dims)]
-    data = vol.data
-    if any(pad):
-        data = np.pad(data, ((0, 0), (0, pad[0]), (0, pad[1]), (0, pad[2])))
-    work_dims = data.shape[1:]
-
     kernel = _kernel_for(config)
-    den_axes = _axis_weight_sums(_axis_offsets(work_dims, config), kernel, work_dims)
-    weights = kernel.weights  # float64; each member's share of a tile's weight
+    den_axes = _axis_weight_sums(_axis_offsets(dims, config), kernel, dims)
+    ex, ey, ez = (min(p, d) for p, d in zip(config.patch_size, dims))  # a tile's extent inside the volume
+    weights = kernel.weights[:ex, :ey, :ez]  # float64; each member's share of a tile's weight
     weights /= len(predictors)
     px, py, pz = config.patch_size
 
     num = None
-    for ox, oy, oz in tile_offsets(work_dims, config):
-        patch = data[:, ox:ox + px, oy:oy + py, oz:oz + pz]
+    for ox, oy, oz in tile_offsets(dims, config):
+        patch = vol.data[:, ox:ox + px, oy:oy + py, oz:oz + pz]
+        if patch.shape[1:] != config.patch_size:
+            patch = zero_filled_patch(vol.data, (ox, oy, oz), config.patch_size)
         patch = normalize_patchwise(patch, exempt_channels=config.exempt_channels)
         for predict in predictors:
             probs = np.asarray(predict(patch))
             if probs.ndim != 4 or probs.shape[1:] != (px, py, pz):
-                raise ValueError(
-                    f"predictor returned shape {probs.shape}, expected (C, {px}, {py}, {pz})"
-                )
+                raise ValueError(f"predictor returned shape {probs.shape}, expected (C, {px}, {py}, {pz})")
             if num is None:
-                num = np.zeros((probs.shape[0], *work_dims), dtype=np.float64)
-            ensemble_predict(probs, weights, num[:, ox:ox + px, oy:oy + py, oz:oz + pz])
+                num = np.zeros((probs.shape[0], *dims), dtype=np.float64)
+            ensemble_predict(probs[:, :ex, :ey, :ez], weights, num[:, ox:ox + ex, oy:oy + ey, oz:oz + ez])
             del probs  # released before the next member runs
-    return Volume3D(_divide_by_weights(num, den_axes, dims), vol.spacing)
+    return Volume3D(_divide_by_weights(num, den_axes), vol.spacing)
 
 
-def _divide_by_weights(num: np.ndarray, den_axes, dims) -> np.ndarray:
-    """float32 ``num / den`` over the first ``dims`` voxels, written over the front of ``num``'s buffer.
+def _divide_by_weights(num: np.ndarray, den_axes) -> np.ndarray:
+    """float32 ``num / den``, written over the front of ``num``'s buffer.
 
-    Output element ``i`` lands at byte ``4i`` and comes from the numerator
-    element at byte ``8j`` with ``j >= i``, because the crop only drops
-    voxels. Going one channel and one X slab at a time in ascending memory
+    Output element ``i`` lands at byte ``4i`` and comes from byte ``8i``,
+    so going one channel and one X slab at a time in ascending memory
     order, through one float32 slab buffer, reads every numerator value
     before it is overwritten. The result is a view that keeps ``num`` alive.
     """
     dx, dy, dz = den_axes
-    channels = num.shape[0]
-    out = num.reshape(-1).view(np.float32)[:channels * int(np.prod(dims))].reshape(channels, *dims)
-    den_yz = np.multiply.outer(dy[:dims[1]], dz[:dims[2]])
-    step = min(dims[0], _slab_planes(dims[1], dims[2]))
-    den = np.empty((step, dims[1], dims[2]))
-    quotient = np.empty((step, dims[1], dims[2]), dtype=np.float32)
+    channels, nx, ny, nz = num.shape
+    out = num.reshape(-1).view(np.float32)[:num.size].reshape(num.shape)
+    den_yz = np.multiply.outer(dy, dz)
+    step = min(nx, _slab_planes(ny, nz))
+    den = np.empty((step, ny, nz))
+    quotient = np.empty((step, ny, nz), dtype=np.float32)
     for c in range(channels):
-        for x0 in range(0, dims[0], step):
-            x1 = min(dims[0], x0 + step)
+        for x0 in range(0, nx, step):
+            x1 = min(nx, x0 + step)
             np.multiply(dx[x0:x1, None, None], den_yz, out=den[:x1 - x0])
-            np.divide(num[c, x0:x1, :dims[1], :dims[2]], den[:x1 - x0], out=quotient[:x1 - x0])
+            np.divide(num[c, x0:x1], den[:x1 - x0], out=quotient[:x1 - x0])
             out[c, x0:x1] = quotient[:x1 - x0]
     return out
 
@@ -221,7 +211,8 @@ def ensemble_predict(probs, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``probs`` and ``out`` are (C, X, Y, Z), ``weights`` is (X, Y, Z).
     ``sliding_window_predict`` calls it for every member on every tile,
     with ``out`` the tile's region of its numerator grid and ``weights``
-    the kernel divided by the number of members, so the window blends the
+    the kernel divided by the number of members (both, and ``probs``, cut
+    to the part of the tile inside the volume), so the window blends the
     fold mean without keeping any member's output or a float64 tile. The
     products go through one float64 buffer of a few X planes.
     """

@@ -1,7 +1,10 @@
 """Minimal NIfTI-1 reader/writer for single-file .nii / .nii.gz volumes.
 
 Only what the pipeline needs: scalar integer/float datatypes, dims and
-pixdim from the header, optional gzip. Orientation fields (qform/sform)
+pixdim from the header, optional gzip. Spacing is read in millimetres:
+pixdim is scaled by the spatial unit code of ``xyzt_units`` (metre,
+millimetre or micron; 0, unknown, reads as millimetres), and any other
+code is refused. Writes use millimetres. Orientation fields (qform/sform)
 are written for interoperability but never applied on read. Masks are
 written as uint8, volumes as float32; a write/read round trip is
 bit-exact. Reads scale by ``scl_slope``/``scl_inter`` unless the slope is 0
@@ -92,6 +95,9 @@ _DTYPES = {
 _UINT8_CODE = 2
 _FLOAT32_CODE = 16
 
+# millimetres per unit of each spatial unit code (xyzt_units & 7)
+_MM_PER_UNIT = {0: 1.0, 1: 1000.0, 2: 1.0, 3: 0.001}
+
 # zlib level of .nii.gz writes. On a 128x128x32 label map level 6 writes in
 # a tenth of level 9's time for a 20% larger file; level 1 is faster still
 # but nearly doubles the file.
@@ -153,7 +159,13 @@ def _read_header_and_payload(f, path):
     dims = tuple(int(d) for d in hdr["dim"][1:4])
     if min(dims) < 1:
         raise NiftiFormatError(f"{path}: non-positive dims {dims}")
-    spacing = tuple(abs(float(p)) for p in hdr["pixdim"][1:4])
+    units = int(hdr["xyzt_units"]) & 7
+    if units not in _MM_PER_UNIT:
+        raise NiftiFormatError(f"{path}: unsupported spatial unit code {units} in xyzt_units "
+                               "(expected 0 unknown, 1 metre, 2 mm or 3 micron)")
+    # pixdim is float32, so the spacing is rounded to the float32 an mm header would hold
+    with np.errstate(over="ignore"):
+        spacing = tuple(float(np.float32(abs(float(p)) * _MM_PER_UNIT[units])) for p in hdr["pixdim"][1:4])
     if not all(math.isfinite(p) and p > 0 for p in spacing):
         raise NiftiFormatError(f"{path}: non-positive or non-finite pixdim {spacing}")
     vox_offset = float(hdr["vox_offset"])

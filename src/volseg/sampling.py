@@ -75,13 +75,17 @@ def extract_patch(vol: Volume3D, mask: LabelMask, offset, spec: PatchSpec,
     if vol.dims != mask.dims:
         raise ValueError(f"volume dims {vol.dims} != mask dims {mask.dims}")
 
-    data = np.zeros((vol.channels, *spec.size), dtype=np.float32)
-    labels = np.zeros(spec.size, dtype=np.uint8)
-    spans = [(o, min(o + s, d)) for o, s, d in zip(offset, spec.size, vol.dims)]
-    (x0, x1), (y0, y1), (z0, z1) = spans
-    data[:, : x1 - x0, : y1 - y0, : z1 - z0] = vol.data[:, x0:x1, y0:y1, z0:z1]
-    labels[: x1 - x0, : y1 - y0, : z1 - z0] = mask.labels[x0:x1, y0:y1, z0:z1]
+    data = zero_filled_patch(vol.data, offset, spec.size)
+    labels = zero_filled_patch(mask.labels, offset, spec.size)
     return PatchSample(offset, data, labels, provenance)
+
+
+def zero_filled_patch(arr: np.ndarray, offset, size) -> np.ndarray:
+    """A copy of the ``size`` region at ``offset`` of ``arr``'s last three axes, zero past its edges."""
+    (x0, x1), (y0, y1), (z0, z1) = [(o, min(o + s, d)) for o, s, d in zip(offset, size, arr.shape[-3:])]
+    out = np.zeros((*arr.shape[:-3], *size), dtype=arr.dtype)
+    out[..., : x1 - x0, : y1 - y0, : z1 - z0] = arr[..., x0:x1, y0:y1, z0:z1]
+    return out
 
 
 def normalize_patchwise(patch: np.ndarray, exempt_channels=frozenset(), eps: float = NORM_EPS) -> np.ndarray:

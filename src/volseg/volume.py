@@ -102,7 +102,7 @@ def resample_linear(vol: Volume3D, target_spacing) -> Volume3D:
     ]
     out = np.empty((vol.channels, *out_dims), dtype=np.float32)
     for c in range(vol.channels):
-        out[c] = trilinear_core(vol.data[c], *coords)
+        trilinear_core(vol.data[c], *coords, out=out[c])
     return Volume3D(out, target)
 
 

@@ -530,6 +530,44 @@ class TestInfer:
         plain, scaled = self.labels_of_plain_and_scaled_scan(tmp_path, np.nan, 5.0)
         assert np.array_equal(plain, scaled)
 
+    def scan_in_units(self, tmp_path, units, mm_per_unit):
+        """A (12, 10, 8) scan at (1, 1, 2) mm, and its copy whose header gives pixdim in ``units``."""
+        data = np.random.default_rng(10).normal(size=(1, 12, 10, 8)).astype(np.float32)
+        scans = [tmp_path / "mm.nii", tmp_path / f"units{units}.nii"]
+        for scan in scans:
+            write_nifti(Volume3D(data, (1.0, 1.0, 2.0)), scan)
+        raw = bytearray(scans[1].read_bytes())
+        hdr = np.frombuffer(bytes(raw[:348]), dtype=_HEADER).copy()[0]
+        hdr["pixdim"][1:4] = np.array([1.0, 1.0, 2.0]) / mm_per_unit
+        hdr["xyzt_units"] = units
+        raw[:348] = hdr.tobytes()
+        scans[1].write_bytes(bytes(raw))
+        return scans
+
+    @pytest.mark.parametrize("units, mm_per_unit", [(1 | 8, 1000.0), (3, 0.001)], ids=["metre", "micron"])
+    def test_scan_in_metres_or_microns_gets_the_mm_scans_labels(self, tmp_path, units, mm_per_unit):
+        # the time unit bits (8: seconds) do not change the spatial unit
+        cfg, weights = self.toy_config(tmp_path), toy_weights(tmp_path, seed=4)
+        labels = []
+        for scan in self.scan_in_units(tmp_path, units, mm_per_unit):
+            out = tmp_path / f"{scan.stem}_labels.nii.gz"
+            assert main(["infer", "--config", cfg, "--weights", weights, "--output", str(out), str(scan)]) == 0
+            mask = read_nifti(out, as_mask=True)
+            assert mask.spacing == (1.0, 1.0, 2.0)
+            labels.append(mask.labels)
+        assert len(np.unique(labels[0])) > 1
+        assert np.array_equal(labels[0], labels[1])
+
+    def test_unknown_spatial_unit_is_read_input_error(self, tmp_path, capsys):
+        scan = self.scan_in_units(tmp_path, 5, 1.0)[1]
+        out = tmp_path / "x.nii.gz"
+        code = main(["infer", "--config", self.toy_config(tmp_path),
+                     "--weights", toy_weights(tmp_path), "--output", str(out), str(scan)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: read-input: " in err and str(scan) in err and "unit code 5" in err
+        assert not out.exists()
+
     def test_output_restored_to_input_grid(self, tmp_path):
         rng = np.random.default_rng(5)
         vol = Volume3D(rng.normal(size=(1, 10, 9, 7)).astype(np.float32), (1.3, 0.9, 1.1))

@@ -309,6 +309,37 @@ class TestSlidingWindow:
         np.testing.assert_allclose(out.data, 1 / 3, rtol=1e-6)
         assert peak <= num + kernel + one_member + slab + normalized_patch + small, peak
 
+    @pytest.mark.parametrize("dims", [(64, 48, 8), (12, 64, 32)], ids=["short-z", "short-x"])
+    def test_traced_peak_of_a_scan_shorter_than_the_patch_holds_no_padded_grid(self, dims):
+        """tracemalloc peak of a 2-member window whose tiles overhang the scan: num on the scan's own grid."""
+        patch = (32, 32, 16)
+        vol = Volume3D(np.random.default_rng(25).normal(size=(1, *dims)).astype(np.float32), (1, 1, 1))
+        cfg = SlidingWindowConfig(patch_size=patch, stride=(16, 16, 16))
+
+        def member(patch):
+            return np.full((3, *patch.shape[1:]), 1 / 3, np.float32)
+
+        voxels, patch_voxels = int(np.prod(dims)), int(np.prod(patch))
+        inside_voxels = int(np.prod([min(p, d) for p, d in zip(patch, dims)]))
+        num = 3 * voxels * 8
+        kernel = patch_voxels * 8
+        one_member = 3 * patch_voxels * 4
+        normalized_patch = patch_voxels * 4
+        # the blend's float64 slab, the divide's float64 den and float32 quotient
+        slabs = min(inference._SLAB_BYTES, 3 * inside_voxels * 8) + 3 * min(inference._SLAB_BYTES, voxels * 8) // 2
+        small = 128 << 10  # numpy's casting buffers (8192 elements) and Python objects
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = sliding_window_predict(vol, [member, member], cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.dims == dims
+        np.testing.assert_allclose(out.data, 1 / 3, rtol=1e-6)
+        # a padded copy of the scan, or a numerator over the padded grid, would exceed this
+        assert peak <= num + kernel + one_member + normalized_patch + slabs + small, peak
+
     @pytest.mark.parametrize("planes", [None, 1, 3])
     def test_in_place_divide_matches_full_volume_division_bit_for_bit(self, monkeypatch, planes):
         """The window's float32 result over its own numerator equals float32(num / den) of whole volumes."""
