@@ -30,7 +30,8 @@ from .metrics import CLASS_NAMES, evaluate_set
 from .network import NetworkConfig, forward, layer_plan, load_weights
 from .nifti import atomic_write_nifti, read_nifti, write_nifti
 from .sampling import PatchSample
-from .volume import LabelMask, Volume3D, _check_spacing, resample_linear, resample_nearest, restore_resolution
+from .volume import (LabelMask, Volume3D, _check_spacing, _output_dims, resample_linear, resample_nearest,
+                     restore_resolution)
 
 N_FOLDS = 5
 TASK2_EXEMPT_CHANNELS = frozenset((2, 3))
@@ -226,17 +227,18 @@ def _grid(dims, spacing) -> str:
 
 
 def _load_channels(cfg: RunConfig, input_paths):
-    """Read and resample the per-channel inputs; returns (stacked, reference).
+    """Read the per-channel inputs and resample each straight into its channel
+    of one (C, X, Y, Z) float32 array; returns (stacked, reference).
 
     Every input must share the first's native grid: the same dims, and
-    spacings equal within a relative ``_SPACING_RTOL``.
+    spacings equal within a relative ``_SPACING_RTOL``. Each input's
+    resampled dims are checked against the stack's before it is written.
     """
     expected = cfg.network.in_channels
     if len(input_paths) != expected:
         raise ValueError(f"{cfg.task} takes {expected} input path(s), got {len(input_paths)}")
-    reference = None
+    stacked = reference = None
     first = None  # (path, dims, spacing) of the first input
-    channels = []
     for idx, path in enumerate(input_paths):
         is_mask = idx in cfg.window.exempt_channels
         image = read_nifti(path, as_mask=is_mask)
@@ -245,10 +247,7 @@ def _load_channels(cfg: RunConfig, input_paths):
         elif image.dims != first[1] or not np.allclose(image.spacing, first[2], rtol=_SPACING_RTOL, atol=0):
             raise ValueError(f"{path} has grid {_grid(image.dims, image.spacing)} but {first[0]} has "
                              f"{_grid(*first[1:])}; register the inputs to one grid first")
-        if is_mask:
-            resampled = resample_nearest(image, cfg.working_spacing)
-            channels.append(resampled.labels.astype(np.float32))
-        else:
+        if not is_mask:
             if image.channels != 1:
                 raise ValueError(f"{path}: expected a single-channel scan, got {image.channels} channels")
             finite = np.count_nonzero(np.isfinite(image.data))
@@ -256,13 +255,17 @@ def _load_channels(cfg: RunConfig, input_paths):
                 raise ValueError(f"{path}: {image.data.size - finite} non-finite (NaN or Inf) voxels")
             if reference is None:
                 reference = image
-            resampled = resample_linear(image, cfg.working_spacing)
-            channels.append(resampled.data[0])
-    dims = {c.shape for c in channels}
-    if len(dims) > 1:
-        raise ValueError(f"inputs resample to differing grids {sorted(dims)}; register them first")
-    stacked = Volume3D(np.stack(channels), cfg.working_spacing)
-    return stacked, reference
+        dims = _output_dims(image.dims, image.spacing, cfg.working_spacing)
+        if stacked is None:
+            stacked = np.empty((expected, *dims), dtype=np.float32)
+        elif dims != stacked.shape[1:]:
+            raise ValueError(f"inputs resample to differing grids {sorted({dims, stacked.shape[1:]})}; "
+                             f"register them first")
+        if is_mask:
+            stacked[idx] = resample_nearest(image, cfg.working_spacing).labels
+        else:
+            resample_linear(image, cfg.working_spacing, out=stacked[idx:idx + 1])
+    return Volume3D(stacked, cfg.working_spacing), reference
 
 
 def cmd_infer(cfg: RunConfig, input_paths, output_path) -> int:

@@ -5,18 +5,20 @@ grid (the last flush with the far edge). Each patch is
 normalized patch-wise once and run through every fold member's predictor,
 one member at a time. ``ensemble_predict`` adds each member's
 probabilities, weighted by ``kernel / F`` for F members, straight into a
-float64 numerator grid through a small slab buffer, so only one member's
-output exists at any time; the window's result is the numerator divided
-by the summed weights, which equals the mean of the per-member windows
-because every member sees the same tiles and weights. The float32 quotient
-is written over the front of the numerator's own buffer.
+float64 numerator grid, one slab of X planes at a time, so only one
+member's output exists at any time; the window's result is the numerator
+divided by the summed weights, which equals the mean of the per-member
+windows because every member sees the same tiles and weights. The float32
+quotient is written over the front of the numerator's own buffer.
 
 Overlaps can be blended with equal weights or with a separable Gaussian
 kernel falling from 1 at the patch center to a configurable edge value
-per axis. Both kernels are outer products of per-axis profiles, so the
-summed weight (the denominator) is the outer product of three 1-D sums of
-each profile over its axis's starts: no denominator volume is kept.
-Argmax turns probabilities into labels.
+per axis. Both kernels are outer products of per-axis profiles, and only
+the profiles are kept: the blend forms each slab's weights beside its
+product buffer, and the summed weight (the denominator) is the outer
+product of three 1-D sums of each profile over its axis's starts, so
+neither a kernel volume nor a denominator volume exists. Argmax turns
+probabilities into labels.
 """
 
 from dataclasses import dataclass, field
@@ -61,7 +63,6 @@ class WeightKernel:
 
     size: tuple[int, int, int]
     profiles: tuple  # three 1-D float64 arrays, lengths ``size``
-    weights: np.ndarray = field(init=False)  # (X, Y, Z) float64, max 1 at the center
 
     def __post_init__(self):
         self.size = tuple(int(s) for s in self.size)
@@ -70,8 +71,22 @@ class WeightKernel:
             raise ValueError(f"kernel profiles {[p.shape for p in self.profiles]} != declared size {self.size}")
         if not all((p > 0).all() for p in self.profiles):
             raise ValueError("kernel weights must be strictly positive")
+
+    def slab(self, x0: int, x1: int, ny: int, nz: int, out=None) -> np.ndarray:
+        """Kernel planes ``x0:x1`` cut to their first ``ny`` Y and ``nz`` Z values,
+        as float64 ``(gx ⊗ gy) ⊗ gz``; written into ``out`` when given."""
         gx, gy, gz = self.profiles
-        self.weights = gx[:, None, None] * gy[None, :, None] * gz[None, None, :]
+        if out is None:
+            out = np.empty((x1 - x0, ny, nz))
+        # the Z factor in place, so numpy's ufunc iterator buffers one broadcast operand, not two
+        out[...] = gx[x0:x1, None, None] * gy[None, :ny, None]
+        out *= gz[:nz]
+        return out
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The whole (X, Y, Z) float64 kernel, max 1 at the center, formed on each access."""
+        return self.slab(0, *self.size)
 
 
 def gaussian_weight_kernel(size, edge_value: float = 0.1) -> WeightKernel:
@@ -148,10 +163,10 @@ def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: S
 
     The result's data is a float32 view over the front of the window's
     float64 numerator, so while it is held it keeps twice its own bytes
-    alive. The window's peak is that numerator plus the kernel, one
-    normalized patch, one member's output (and whatever its forward
-    allocates) and a slab buffer; the final division adds only two slab
-    buffers, not a second whole-volume array.
+    alive. The window's peak is that numerator plus one normalized patch,
+    one member's output (and whatever its forward allocates) and the
+    blend's slab buffers; no kernel volume is kept, and the final division
+    adds only two slab buffers, not a second whole-volume array.
     """
     predictors = list(predictors)
     if not predictors:
@@ -160,8 +175,6 @@ def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: S
     kernel = _kernel_for(config)
     den_axes = _axis_weight_sums(_axis_offsets(dims, config), kernel, dims)
     ex, ey, ez = (min(p, d) for p, d in zip(config.patch_size, dims))  # a tile's extent inside the volume
-    weights = kernel.weights[:ex, :ey, :ez]  # float64; each member's share of a tile's weight
-    weights /= len(predictors)
     px, py, pz = config.patch_size
 
     num = None
@@ -176,7 +189,8 @@ def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: S
                 raise ValueError(f"predictor returned shape {probs.shape}, expected (C, {px}, {py}, {pz})")
             if num is None:
                 num = np.zeros((probs.shape[0], *dims), dtype=np.float64)
-            ensemble_predict(probs[:, :ex, :ey, :ez], weights, num[:, ox:ox + ex, oy:oy + ey, oz:oz + ez])
+            ensemble_predict(probs[:, :ex, :ey, :ez], kernel, len(predictors),
+                             num[:, ox:ox + ex, oy:oy + ey, oz:oz + ez])
             del probs  # released before the next member runs
     return Volume3D(_divide_by_weights(num, den_axes), vol.spacing)
 
@@ -205,27 +219,35 @@ def _divide_by_weights(num: np.ndarray, den_axes) -> np.ndarray:
     return out
 
 
-def ensemble_predict(probs, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Blend one fold member into a float64 accumulator: ``out += probs * weights``.
+def ensemble_predict(probs, kernel: WeightKernel, members: int, out: np.ndarray) -> np.ndarray:
+    """Blend one of ``members`` fold members into a float64 accumulator:
+    ``out += probs * (kernel / members)``.
 
-    ``probs`` and ``out`` are (C, X, Y, Z), ``weights`` is (X, Y, Z).
-    ``sliding_window_predict`` calls it for every member on every tile,
-    with ``out`` the tile's region of its numerator grid and ``weights``
-    the kernel divided by the number of members (both, and ``probs``, cut
-    to the part of the tile inside the volume), so the window blends the
-    fold mean without keeping any member's output or a float64 tile. The
-    products go through one float64 buffer of a few X planes.
+    ``probs`` and ``out`` are (C, X, Y, Z), and the kernel's weights are
+    cut to their first (X, Y, Z) values. ``sliding_window_predict`` calls
+    it for every member on every tile, with ``out`` the tile's region of its
+    numerator grid (it and ``probs`` cut to the part of the tile inside the
+    volume), so the window blends the fold mean without keeping any
+    member's output, a float64 tile or a kernel volume. Each slab of X
+    planes forms its ``kernel / members`` beside its float64 product
+    buffer; the two fit one slab budget together.
     """
     probs = np.asarray(probs)
-    if out.dtype != np.float64 or probs.shape != out.shape or weights.shape != out.shape[1:]:
-        raise ValueError(f"shape mismatch in ensemble: probabilities {probs.shape}, weights "
-                         f"{weights.shape}, float64 accumulator {out.shape} ({out.dtype})")
+    if (out.dtype != np.float64 or out.ndim != 4 or probs.shape != out.shape
+            or any(n > k for n, k in zip(out.shape[1:], kernel.size))):
+        raise ValueError(f"shape mismatch in ensemble: probabilities {probs.shape}, kernel "
+                         f"{kernel.size}, float64 accumulator {out.shape} ({out.dtype})")
+    if members < 1:
+        raise ValueError(f"the blend needs at least one member, got {members}")
     channels, px, py, pz = out.shape
-    step = min(px, _slab_planes(channels, py, pz))
+    step = min(px, _slab_planes(channels + 1, py, pz))
     buf = np.empty((channels, step, py, pz))
+    weights = np.empty((step, py, pz))
     for x0 in range(0, px, step):
         x1 = min(px, x0 + step)
-        np.multiply(probs[:, x0:x1], weights[x0:x1], out=buf[:, :x1 - x0])
+        w = kernel.slab(x0, x1, py, pz, out=weights[:x1 - x0])
+        w /= members  # each member's share of the tile's weight
+        np.multiply(probs[:, x0:x1], w, out=buf[:, :x1 - x0])
         out[:, x0:x1] += buf[:, :x1 - x0]
     return out
 

@@ -6,10 +6,11 @@ millimetres; a label mask is a uint8 array over the classes
 grids: the physical position of index ``i`` is ``(i + 0.5) * spacing``,
 and coordinates are clamped to the valid input domain at the borders.
 Output grids use ``ceil(dim_in * spacing_in / spacing_out)`` voxels per
-axis so the input field of view is fully covered. ``LabelMask`` is the one
-check of mask labels, in code and from files alike: it checks the range
-on the caller's integer dtype, then casts to uint8, so no value wraps
-into a class.
+axis so the input field of view is fully covered; ``resample_linear`` can
+write its grid into a caller's array, such as one channel of a stacked
+input. ``LabelMask`` is the one check of mask labels, in code and from
+files alike: it checks the range on the caller's integer dtype, then
+casts to uint8, so no value wraps into a class.
 """
 
 from dataclasses import dataclass, field
@@ -90,17 +91,27 @@ def _center_coords(n_out: int, spacing_out: float, spacing_in: float) -> np.ndar
     return phys / spacing_in - 0.5
 
 
-def resample_linear(vol: Volume3D, target_spacing) -> Volume3D:
-    """Trilinear resample of a volume onto a new voxel spacing."""
+def resample_linear(vol: Volume3D, target_spacing, out: np.ndarray | None = None) -> Volume3D:
+    """Trilinear resample of a volume onto a new voxel spacing.
+
+    ``out``, when given, is a float32 (C, X, Y, Z) array of the resampled
+    dims (it may be a view, such as one channel of a larger stack); the
+    result is written into it, and the returned volume's data is ``out``.
+    """
     target = _check_spacing(target_spacing)
+    out_dims = _output_dims(vol.dims, vol.spacing, target)  # the input's dims when the spacing is kept
+    if out is None:
+        out = np.empty((vol.channels, *out_dims), dtype=np.float32)
+    elif out.shape != (vol.channels, *out_dims) or out.dtype != np.float32:
+        raise ValueError(f"resample output must be float32 {(vol.channels, *out_dims)}, "
+                         f"got {out.dtype} {out.shape}")
     if target == vol.spacing:
-        return Volume3D(vol.data.copy(), vol.spacing)
-    out_dims = _output_dims(vol.dims, vol.spacing, target)
+        out[...] = vol.data
+        return Volume3D(out, target)
     coords = [
         np.clip(_center_coords(n, so, si), 0.0, d - 1.0)
         for n, so, si, d in zip(out_dims, target, vol.spacing, vol.dims)
     ]
-    out = np.empty((vol.channels, *out_dims), dtype=np.float32)
     for c in range(vol.channels):
         trilinear_core(vol.data[c], *coords, out=out[c])
     return Volume3D(out, target)

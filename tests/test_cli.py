@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import volseg
-from volseg import cli
+from volseg import _kernels, cli
 from volseg.cli import _KEYS, build_parser, build_run_config, load_config_file, main
 from volseg.network import NetworkConfig, build_unet, save_weights
 from volseg.nifti import _HEADER, read_nifti, write_nifti
-from volseg.volume import LabelMask, Volume3D
+from volseg.volume import LabelMask, Volume3D, resample_linear, resample_nearest
 
 from oracles import overlap_counts
 
@@ -616,6 +616,57 @@ class TestInfer:
         err = capsys.readouterr().err
         assert "read-input" in err and paths[odd] in err and paths[0] in err and "0.95" in err
         assert not out.exists()
+
+    def test_task2_inputs_that_resample_to_differing_grids_are_read_input_error(self, tmp_path, capsys):
+        # 1.000005 mm agrees with 1.0 mm within _SPACING_RTOL, yet 10 voxels of it take 11 on a 1 mm grid
+        rng = np.random.default_rng(12)
+        paths = []
+        for name, spacing in (("mid.nii", (1.0, 1.0, 1.0)), ("pre.nii", (1.000005, 1.0, 1.0))):
+            write_nifti(Volume3D(rng.normal(size=(1, 10, 8, 8)).astype(np.float32), spacing), tmp_path / name)
+            paths.append(str(tmp_path / name))
+        for name in ("gtvp.nii", "gtvn.nii"):
+            write_nifti(LabelMask(rng.integers(0, 2, size=(10, 8, 8)).astype(np.uint8), (1, 1, 1)), tmp_path / name)
+            paths.append(str(tmp_path / name))
+        out = tmp_path / "labels.nii.gz"
+        code = main(["infer", "--task", "task2", "--config", self.toy_config(tmp_path),
+                     "--weights", toy_weights(tmp_path, in_channels=4), "--output", str(out)] + paths)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("error: read-input: inputs resample to differing grids [(10, 8, 8), (11, 8, 8)]; "
+                "register them first") in err
+        assert not out.exists()
+
+    def test_task2_channels_are_resampled_into_one_stack(self, tmp_path, monkeypatch):
+        """The stacked input equals per-channel resampling plus np.stack, bit for bit, and holds no second stack."""
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", 64 << 10)
+        native, spacing = (48, 40, 16), (1.0, 1.0, 2.0)  # 48x40x32 on the 1 mm working grid
+        rng = np.random.default_rng(13)
+        scans = [Volume3D(rng.normal(size=(1, *native)).astype(np.float32), spacing) for _ in range(2)]
+        masks = [LabelMask(rng.integers(0, 2, size=native).astype(np.uint8), spacing) for _ in range(2)]
+        paths = []
+        for idx, image in enumerate(scans + masks):
+            write_nifti(image, tmp_path / f"input{idx}.nii")
+            paths.append(str(tmp_path / f"input{idx}.nii"))
+        cfg = build_run_config(None, {"task": "task2", "volume.working_spacing": "1,1,1"})
+        expected = np.stack([resample_linear(scan, (1, 1, 1)).data[0] for scan in scans]
+                            + [resample_nearest(mask, (1, 1, 1)).labels.astype(np.float32) for mask in masks])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stacked, reference = cli._load_channels(cfg, paths)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert stacked.spacing == (1.0, 1.0, 1.0)
+        assert stacked.data.dtype == np.float32 and stacked.data.tobytes() == expected.tobytes()
+        assert reference.dims == native and reference.data.tobytes() == scans[0].data.tobytes()
+        stack = expected.nbytes
+        # the reference scan kept for the restore, and one read: the file's payload and its (X, Y, Z) array
+        native_reads = 3 * scans[0].data.nbytes
+        scratch = 3 * (64 << 10)  # a slab of trilinear input planes and the lower and upper corner slabs
+        small = 128 << 10  # numpy's buffers, the nearest gather's uint8 grid and Python objects
+        # a second stack (983 KB), or the channels listed before stacking, would exceed this
+        assert peak <= stack + native_reads + scratch + small, peak
 
     def test_wrong_input_count_is_data_error(self, tmp_path, capsys):
         scan = self.toy_volume(tmp_path)

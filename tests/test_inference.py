@@ -89,6 +89,20 @@ class TestWeightKernels:
         assert kernel.weights.sum() == 3 * 4 * 5
 
 
+    def test_slab_is_the_outer_product_cut_to_any_planes(self):
+        """Any X slab, cut in Y and Z, equals that part of (gx * gy) * gz bit for bit, with or without ``out``."""
+        kernel = gaussian_weight_kernel((9, 7, 5), edge_value=0.2)
+        gx, gy, gz = kernel.profiles
+        whole = gx[:, None, None] * gy[None, :, None] * gz[None, None, :]
+        assert kernel.weights.tobytes() == whole.tobytes()
+        buf = np.empty((9, 7, 5))
+        for x0, x1, ny, nz in [(0, 9, 7, 5), (2, 5, 7, 5), (8, 9, 3, 1), (0, 4, 6, 2)]:
+            expected = whole[x0:x1, :ny, :nz]
+            assert kernel.slab(x0, x1, ny, nz).tobytes() == expected.tobytes()
+            out = buf[:x1 - x0, :ny, :nz]
+            assert kernel.slab(x0, x1, ny, nz, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+
 class TestTileOffsets:
     def cfg(self, patch, stride):
         return SlidingWindowConfig(patch_size=patch, stride=stride)
@@ -282,22 +296,27 @@ class TestSlidingWindow:
         sliding_window_predict(vol, [member, member, member], cfg)
         assert len(outputs) == 3 * len(tile_offsets(vol.dims, cfg))
 
-    def test_traced_peak_is_num_plus_one_member(self):
-        """tracemalloc peak of a 2-member window: no fold list, float64 tile or den volume."""
-        vol = Volume3D(np.random.default_rng(22).normal(size=(1, 48, 32, 16)).astype(np.float32), (1, 1, 1))
-        cfg = SlidingWindowConfig(patch_size=(32, 32, 16), stride=(16, 32, 16))  # 2 tiles
+    # A slab budget smaller than a tile, as at the paper's 320x320x64 patch,
+    # so a kernel volume (256 KB here, twice the slack) would show in the peak.
+    SLAB_BYTES = 64 << 10
+
+    def test_traced_peak_is_num_plus_one_member(self, monkeypatch):
+        """tracemalloc peak of a 2-member window: no fold list, float64 tile, kernel or den volume."""
+        monkeypatch.setattr(inference, "_SLAB_BYTES", self.SLAB_BYTES)
+        vol = Volume3D(np.random.default_rng(22).normal(size=(1, 48, 32, 32)).astype(np.float32), (1, 1, 1))
+        cfg = SlidingWindowConfig(patch_size=(32, 32, 32), stride=(16, 32, 32))  # 2 tiles
 
         def member(patch):
             probs = np.empty((3, *patch.shape[1:]), np.float32)
             probs.fill(1 / 3)
             return probs
 
-        voxels, patch_voxels = 48 * 32 * 16, 32 * 32 * 16
+        voxels, patch_voxels = 48 * 32 * 32, 32 * 32 * 32
         num = 3 * voxels * 8
-        kernel = patch_voxels * 8
         one_member = 3 * patch_voxels * 4
-        slab = min(inference._SLAB_BYTES, 3 * patch_voxels * 8)
         normalized_patch = patch_voxels * 4
+        # the blend's float64 product and weight slabs, or the divide's float64 den and float32 quotient
+        slabs = 3 * self.SLAB_BYTES // 2
         small = 128 << 10  # numpy's casting buffers (8192 elements) and Python objects
         tracemalloc.start()
         try:
@@ -307,12 +326,13 @@ class TestSlidingWindow:
         finally:
             tracemalloc.stop()
         np.testing.assert_allclose(out.data, 1 / 3, rtol=1e-6)
-        assert peak <= num + kernel + one_member + slab + normalized_patch + small, peak
+        assert peak <= num + one_member + normalized_patch + slabs + small, peak
 
-    @pytest.mark.parametrize("dims", [(64, 48, 8), (12, 64, 32)], ids=["short-z", "short-x"])
-    def test_traced_peak_of_a_scan_shorter_than_the_patch_holds_no_padded_grid(self, dims):
+    @pytest.mark.parametrize("dims", [(64, 48, 16), (12, 64, 64)], ids=["short-z", "short-x"])
+    def test_traced_peak_of_a_scan_shorter_than_the_patch_holds_no_padded_grid(self, monkeypatch, dims):
         """tracemalloc peak of a 2-member window whose tiles overhang the scan: num on the scan's own grid."""
-        patch = (32, 32, 16)
+        monkeypatch.setattr(inference, "_SLAB_BYTES", self.SLAB_BYTES)
+        patch = (32, 32, 32)
         vol = Volume3D(np.random.default_rng(25).normal(size=(1, *dims)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=patch, stride=(16, 16, 16))
 
@@ -320,13 +340,11 @@ class TestSlidingWindow:
             return np.full((3, *patch.shape[1:]), 1 / 3, np.float32)
 
         voxels, patch_voxels = int(np.prod(dims)), int(np.prod(patch))
-        inside_voxels = int(np.prod([min(p, d) for p, d in zip(patch, dims)]))
         num = 3 * voxels * 8
-        kernel = patch_voxels * 8
         one_member = 3 * patch_voxels * 4
         normalized_patch = patch_voxels * 4
-        # the blend's float64 slab, the divide's float64 den and float32 quotient
-        slabs = min(inference._SLAB_BYTES, 3 * inside_voxels * 8) + 3 * min(inference._SLAB_BYTES, voxels * 8) // 2
+        # the blend's float64 product and weight slabs, or the divide's float64 den and float32 quotient
+        slabs = 3 * self.SLAB_BYTES // 2
         small = 128 << 10  # numpy's casting buffers (8192 elements) and Python objects
         tracemalloc.start()
         try:
@@ -338,7 +356,7 @@ class TestSlidingWindow:
         assert out.dims == dims
         np.testing.assert_allclose(out.data, 1 / 3, rtol=1e-6)
         # a padded copy of the scan, or a numerator over the padded grid, would exceed this
-        assert peak <= num + kernel + one_member + normalized_patch + slabs + small, peak
+        assert peak <= num + one_member + normalized_patch + slabs + small, peak
 
     @pytest.mark.parametrize("planes", [None, 1, 3])
     def test_in_place_divide_matches_full_volume_division_bit_for_bit(self, monkeypatch, planes):
@@ -406,9 +424,9 @@ class TestEnsembleAndArgmax:
     def blend(self, members):
         """Equal-weight fold mean through ``ensemble_predict``, one member at a time."""
         out = np.zeros(members[0].shape)
-        weights = np.full(members[0].shape[1:], 1.0 / len(members))
+        kernel = equal_weight_kernel(members[0].shape[1:])
         for probs in members:
-            ensemble_predict(probs, weights, out)
+            ensemble_predict(probs, kernel, len(members), out)
         return out
 
     def test_mean_of_identical_inputs_is_identity(self):
@@ -447,27 +465,40 @@ class TestEnsembleAndArgmax:
     def test_blend_adds_into_a_view_and_ignores_slab_size(self, monkeypatch):
         rng = np.random.default_rng(15)
         probs = self.prob_volume(rng, dims=(7, 5, 3)).data
-        weights = gaussian_weight_kernel((7, 5, 3)).weights
+        kernel = gaussian_weight_kernel((7, 5, 3))
         results = []
-        for slab_bytes in (1, 8 * 3 * 5 * 3 * 2, 1 << 20):  # one, two and all seven X planes
+        # one, two and all seven X planes of the float64 products (3 channels) and weights
+        for slab_bytes in (1, 8 * 4 * 5 * 3 * 2, 1 << 20):
             monkeypatch.setattr(inference, "_SLAB_BYTES", slab_bytes)
             num = np.ones((3, 9, 6, 3))
-            assert ensemble_predict(probs, weights, num[:, 1:8, 1:]) is not None
+            assert ensemble_predict(probs, kernel, 3, num[:, 1:8, 1:]) is not None
             results.append(num)
         expected = np.ones((3, 9, 6, 3))
-        expected[:, 1:8, 1:] += probs.astype(np.float64) * weights
+        expected[:, 1:8, 1:] += probs.astype(np.float64) * (kernel.weights / 3)
         for num in results:
             np.testing.assert_array_equal(num, expected)
+
+    def test_kernel_cut_to_a_tile_inside_the_volume(self):
+        """A tile cut by the volume's edge takes the front of the kernel, bit for bit."""
+        probs = self.prob_volume(np.random.default_rng(16), dims=(5, 4, 2)).data
+        kernel = gaussian_weight_kernel((7, 5, 3))
+        out = ensemble_predict(probs, kernel, 2, np.zeros((3, 5, 4, 2)))
+        expected = probs.astype(np.float64) * (kernel.weights[:5, :4, :2] / 2)
+        assert out.tobytes() == expected.tobytes()
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(11)
         out = np.zeros((3, 4, 4, 4))
+        kernel = equal_weight_kernel((4, 4, 4))
         with pytest.raises(ValueError, match="shape mismatch"):
-            ensemble_predict(self.prob_volume(rng, dims=(3, 3, 3)).data, np.ones((4, 4, 4)), out)
+            ensemble_predict(self.prob_volume(rng, dims=(3, 3, 3)).data, kernel, 1, out)
+        with pytest.raises(ValueError, match="shape mismatch"):  # a kernel smaller than the tile
+            ensemble_predict(self.prob_volume(rng).data, equal_weight_kernel((4, 4, 3)), 1, out)
         with pytest.raises(ValueError, match="shape mismatch"):
-            ensemble_predict(self.prob_volume(rng).data, np.ones((4, 4, 3)), out)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            ensemble_predict(self.prob_volume(rng).data, np.ones((4, 4, 4)), out.astype(np.float32))
+            ensemble_predict(self.prob_volume(rng).data, kernel, 1, out.astype(np.float32))
+        with pytest.raises(ValueError, match="at least one member"):
+            ensemble_predict(self.prob_volume(rng).data, kernel, 0, out)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_empty_rejected(self):
         vol = Volume3D(np.zeros((1, 4, 4, 4), np.float32), (1, 1, 1))
