@@ -105,8 +105,6 @@ def mirror(patch: PatchSample, axes) -> PatchSample:
     axes = tuple(sorted(set(int(a) for a in axes)))
     if any(a not in (0, 1, 2) for a in axes):
         raise ValueError(f"mirror axes must be within 0..2, got {axes}")
-    if not axes:
-        return replace(patch, data=patch.data.copy(), mask_patch=patch.mask_patch.copy())
     data = np.flip(patch.data, axis=[a + 1 for a in axes]).copy()
     mask = np.flip(patch.mask_patch, axis=axes).copy()
     return replace(patch, data=data, mask_patch=mask)

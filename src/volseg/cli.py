@@ -30,14 +30,11 @@ from .metrics import CLASS_NAMES, evaluate_set
 from .network import NetworkConfig, forward, layer_plan, load_weights
 from .nifti import atomic_write_nifti, read_nifti, write_nifti
 from .sampling import PatchSample
-from .volume import (LabelMask, Volume3D, _check_spacing, _output_dims, resample_linear, resample_nearest,
-                     restore_resolution)
+from .volume import (_SPACING_RTOL, LabelMask, Volume3D, _check_spacing, _output_dims, resample_linear,
+                     resample_nearest, restore_resolution)
 
 N_FOLDS = 5
 TASK2_EXEMPT_CHANNELS = frozenset((2, 3))
-# pixdim is float32 in the header, so one spacing written by two tools can
-# differ in its last bits (a relative 6e-8); a real grid mismatch is far larger
-_SPACING_RTOL = 1e-5
 
 
 class PipelineError(Exception):
@@ -231,22 +228,24 @@ def _load_channels(cfg: RunConfig, input_paths):
     of one (C, X, Y, Z) float32 array; returns (stacked, reference).
 
     Every input must share the first's native grid: the same dims, and
-    spacings equal within a relative ``_SPACING_RTOL``. Each input's
-    resampled dims are checked against the stack's before it is written.
+    spacings equal within a relative ``volume._SPACING_RTOL``. The working
+    dims are taken once, from the first input, and each later input is
+    resampled as if it had the first's spacing, so every channel fits them.
     """
     expected = cfg.network.in_channels
     if len(input_paths) != expected:
         raise ValueError(f"{cfg.task} takes {expected} input path(s), got {len(input_paths)}")
     stacked = reference = None
-    first = None  # (path, dims, spacing) of the first input
     for idx, path in enumerate(input_paths):
         is_mask = idx in cfg.window.exempt_channels
         image = read_nifti(path, as_mask=is_mask)
-        if first is None:
+        if stacked is None:
             first = (path, image.dims, image.spacing)
+            stacked = np.empty((expected, *_output_dims(*first[1:], cfg.working_spacing)), np.float32)
         elif image.dims != first[1] or not np.allclose(image.spacing, first[2], rtol=_SPACING_RTOL, atol=0):
             raise ValueError(f"{path} has grid {_grid(image.dims, image.spacing)} but {first[0]} has "
                              f"{_grid(*first[1:])}; register the inputs to one grid first")
+        image.spacing = first[2]
         if not is_mask:
             if image.channels != 1:
                 raise ValueError(f"{path}: expected a single-channel scan, got {image.channels} channels")
@@ -255,12 +254,6 @@ def _load_channels(cfg: RunConfig, input_paths):
                 raise ValueError(f"{path}: {image.data.size - finite} non-finite (NaN or Inf) voxels")
             if reference is None:
                 reference = image
-        dims = _output_dims(image.dims, image.spacing, cfg.working_spacing)
-        if stacked is None:
-            stacked = np.empty((expected, *dims), dtype=np.float32)
-        elif dims != stacked.shape[1:]:
-            raise ValueError(f"inputs resample to differing grids {sorted({dims, stacked.shape[1:]})}; "
-                             f"register them first")
         if is_mask:
             stacked[idx] = resample_nearest(image, cfg.working_spacing).labels
         else:

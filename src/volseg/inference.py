@@ -8,8 +8,8 @@ probabilities, weighted by ``kernel / F`` for F members, straight into a
 float64 numerator grid, one slab of X planes at a time, so only one
 member's output exists at any time; the window's result is the numerator
 divided by the summed weights, which equals the mean of the per-member
-windows because every member sees the same tiles and weights. The float32
-quotient is written over the front of the numerator's own buffer.
+windows because every member sees the same tiles and weights. The division
+writes its float32 result over the front of the numerator's own buffer.
 
 Overlaps can be blended with equal weights or with a separable Gaussian
 kernel falling from 1 at the patch center to a configurable edge value
@@ -200,8 +200,9 @@ def _divide_by_weights(num: np.ndarray, den_axes) -> np.ndarray:
 
     Output element ``i`` lands at byte ``4i`` and comes from byte ``8i``,
     so going one channel and one X slab at a time in ascending memory
-    order, through one float32 slab buffer, reads every numerator value
-    before it is overwritten. The result is a view that keeps ``num`` alive.
+    order reads every numerator value before it is overwritten. Only the
+    first slab's output overlaps its own input, which numpy copies first.
+    The result is a view that keeps ``num`` alive.
     """
     dx, dy, dz = den_axes
     channels, nx, ny, nz = num.shape
@@ -209,13 +210,11 @@ def _divide_by_weights(num: np.ndarray, den_axes) -> np.ndarray:
     den_yz = np.multiply.outer(dy, dz)
     step = min(nx, _slab_planes(ny, nz))
     den = np.empty((step, ny, nz))
-    quotient = np.empty((step, ny, nz), dtype=np.float32)
     for c in range(channels):
         for x0 in range(0, nx, step):
             x1 = min(nx, x0 + step)
             np.multiply(dx[x0:x1, None, None], den_yz, out=den[:x1 - x0])
-            np.divide(num[c, x0:x1], den[:x1 - x0], out=quotient[:x1 - x0])
-            out[c, x0:x1] = quotient[:x1 - x0]
+            np.divide(num[c, x0:x1], den[:x1 - x0], out=out[c, x0:x1])
     return out
 
 

@@ -617,24 +617,39 @@ class TestInfer:
         assert "read-input" in err and paths[odd] in err and paths[0] in err and "0.95" in err
         assert not out.exists()
 
-    def test_task2_inputs_that_resample_to_differing_grids_are_read_input_error(self, tmp_path, capsys):
-        # 1.000005 mm agrees with 1.0 mm within _SPACING_RTOL, yet 10 voxels of it take 11 on a 1 mm grid
-        rng = np.random.default_rng(12)
-        paths = []
-        for name, spacing in (("mid.nii", (1.0, 1.0, 1.0)), ("pre.nii", (1.000005, 1.0, 1.0))):
-            write_nifti(Volume3D(rng.normal(size=(1, 10, 8, 8)).astype(np.float32), spacing), tmp_path / name)
-            paths.append(str(tmp_path / name))
-        for name in ("gtvp.nii", "gtvn.nii"):
-            write_nifti(LabelMask(rng.integers(0, 2, size=(10, 8, 8)).astype(np.uint8), (1, 1, 1)), tmp_path / name)
+    def test_task2_input_with_other_dims_is_read_input_error(self, tmp_path, capsys):
+        paths = [self.toy_volume(tmp_path, seed=6, name="mid.nii.gz"),
+                 self.toy_volume(tmp_path, seed=7, dims=(8, 8, 7), name="pre.nii.gz")]
+        for name in ("gtvp.nii.gz", "gtvn.nii.gz"):
+            write_nifti(LabelMask(np.zeros((8, 8, 8), np.uint8), (1, 1, 1)), tmp_path / name)
             paths.append(str(tmp_path / name))
         out = tmp_path / "labels.nii.gz"
         code = main(["infer", "--task", "task2", "--config", self.toy_config(tmp_path),
                      "--weights", toy_weights(tmp_path, in_channels=4), "--output", str(out)] + paths)
         assert code == 2
         err = capsys.readouterr().err
-        assert ("error: read-input: inputs resample to differing grids [(10, 8, 8), (11, 8, 8)]; "
-                "register them first") in err
+        assert f"error: read-input: {paths[1]} has grid 8x8x7 at 1x1x1 mm but {paths[0]} has 8x8x8 at 1x1x1 mm" in err
         assert not out.exists()
+
+    def test_task2_inputs_within_the_spacing_tolerance_get_the_exact_spacing_labels(self, tmp_path):
+        # 1.000005 mm agrees with 1.0 mm within the tolerance, and 10 voxels of it take 10 on a 1 mm grid
+        rng = np.random.default_rng(12)
+        mid, pre = (rng.normal(size=(1, 10, 8, 8)).astype(np.float32) for _ in range(2))
+        write_nifti(Volume3D(mid, (1.0, 1.0, 1.0)), tmp_path / "mid.nii")
+        for name in ("gtvp.nii", "gtvn.nii"):
+            write_nifti(LabelMask(rng.integers(0, 2, size=(10, 8, 8)).astype(np.uint8), (1, 1, 1)), tmp_path / name)
+        cfg, weights = self.toy_config(tmp_path), toy_weights(tmp_path, in_channels=4)
+        digests = []
+        for pre_spacing in ((1.0, 1.0, 1.0), (1.000005, 1.0, 1.0)):
+            write_nifti(Volume3D(pre, pre_spacing), tmp_path / "pre.nii")
+            out = tmp_path / "labels.nii.gz"
+            paths = [str(tmp_path / name) for name in ("mid.nii", "pre.nii", "gtvp.nii", "gtvn.nii")]
+            assert main(["infer", "--task", "task2", "--config", cfg, "--weights", weights,
+                         "--output", str(out)] + paths) == 0
+            assert read_nifti(out, as_mask=True).dims == (10, 8, 8)
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert read_nifti(tmp_path / "pre.nii").spacing[0] != 1.0  # the header really holds the off spacing
+        assert digests[0] == digests[1]
 
     def test_task2_channels_are_resampled_into_one_stack(self, tmp_path, monkeypatch):
         """The stacked input equals per-channel resampling plus np.stack, bit for bit, and holds no second stack."""

@@ -315,7 +315,7 @@ class TestSlidingWindow:
         num = 3 * voxels * 8
         one_member = 3 * patch_voxels * 4
         normalized_patch = patch_voxels * 4
-        # the blend's float64 product and weight slabs, or the divide's float64 den and float32 quotient
+        # the blend's float64 product and weight slabs, or the divide's float64 den and first num slab copy
         slabs = 3 * self.SLAB_BYTES // 2
         small = 128 << 10  # numpy's casting buffers (8192 elements) and Python objects
         tracemalloc.start()
@@ -343,7 +343,7 @@ class TestSlidingWindow:
         num = 3 * voxels * 8
         one_member = 3 * patch_voxels * 4
         normalized_patch = patch_voxels * 4
-        # the blend's float64 product and weight slabs, or the divide's float64 den and float32 quotient
+        # the blend's float64 product and weight slabs, or the divide's float64 den and first num slab copy
         slabs = 3 * self.SLAB_BYTES // 2
         small = 128 << 10  # numpy's casting buffers (8192 elements) and Python objects
         tracemalloc.start()
@@ -401,7 +401,7 @@ class TestSlidingWindow:
         kernel = patch_voxels * 8
         one_member = 3 * patch_voxels * 4
         normalized_patch = patch_voxels * 4
-        slabs = 3 * (64 << 10)  # the blend's float64 slab, the divide's float64 den and float32 quotient
+        slabs = 3 * (64 << 10)  # the blend's float64 slab, or the divide's float64 den and first num slab copy
         argmax = voxels * (4 + 1 + 1)  # float32 running maximum, uint8 labels, one bool mask
         small = 128 << 10  # numpy's casting buffers (8192 elements) and Python objects
         tracemalloc.start()

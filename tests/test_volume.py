@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from volseg.volume import LabelMask, Volume3D, resample_linear, resample_nearest, restore_resolution
+from volseg.inference import SlidingWindowConfig, tile_offsets
+from volseg.volume import LabelMask, Volume3D, _output_dims, resample_linear, resample_nearest, restore_resolution
 
 from oracles import resample_linear_pointwise, resample_nearest_pointwise
 
@@ -41,6 +42,30 @@ class TestVolumeTypes:
         labels = np.array([-1, 0, 1, 2, 3, 3, 7, -1]).reshape(2, 2, 2)
         with pytest.raises(ValueError, match=r"mask values \[-1, 3, 7\] outside \{0, 1, 2\}"):
             LabelMask(labels, (1, 1, 1))
+
+
+def float32_spacing(*spacing):
+    # the spacing as a NIfTI header's float32 pixdim holds it
+    return tuple(float(np.float32(s)) for s in spacing)
+
+
+class TestOutputDims:
+    def test_float32_pixdim_noise_adds_no_plane(self):
+        dims = _output_dims((250, 250, 40), float32_spacing(0.8, 0.8, 3.2), (0.5, 0.5, 2.0))
+        assert dims == (400, 400, 64)  # float32 0.8 and 3.2 round up: 400.000006 and 64.000001
+        assert len(tile_offsets(dims, SlidingWindowConfig())) == 4
+
+    def test_spacing_within_the_tolerance_keeps_the_voxel_count(self):
+        assert _output_dims((10, 10, 10), float32_spacing(1.000005, 1, 1), (1, 1, 1)) == (10, 10, 10)
+
+    def test_fractional_field_of_view_is_covered(self):
+        assert _output_dims((10, 10, 10), (1, 1, 1), (3, 3, 3)) == (4, 4, 4)  # ceil(10/3)
+        assert _output_dims((10, 10, 10), (1.05, 1, 1), (1, 1, 1)) == (11, 10, 10)  # 10.5 voxels
+
+    def test_dyadic_spacings_are_exact(self):
+        assert _output_dims((64, 64, 16), (1, 1, 4), (0.5, 0.5, 2)) == (128, 128, 32)
+        assert _output_dims((128, 128, 32), (0.5, 0.5, 2), (1, 1, 4)) == (64, 64, 16)
+        assert _output_dims((7, 5, 3), (0.5, 0.5, 2), (0.5, 0.5, 2)) == (7, 5, 3)
 
 
 class TestResampleLinear:
