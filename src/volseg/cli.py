@@ -30,8 +30,8 @@ from .metrics import CLASS_NAMES, evaluate_set
 from .network import NetworkConfig, forward, layer_plan, load_weights
 from .nifti import atomic_write_nifti, read_nifti, write_nifti
 from .sampling import PatchSample
-from .volume import (_SPACING_RTOL, LabelMask, Volume3D, _check_spacing, _output_dims, resample_linear,
-                     resample_nearest, restore_resolution)
+from .volume import (LabelMask, Volume3D, _check_spacing, _output_dims, resample_linear, resample_nearest,
+                     restore_resolution, same_grid)
 
 N_FOLDS = 5
 TASK2_EXEMPT_CHANNELS = frozenset((2, 3))
@@ -225,40 +225,39 @@ def _grid(dims, spacing) -> str:
 
 def _load_channels(cfg: RunConfig, input_paths):
     """Read the per-channel inputs and resample each straight into its channel
-    of one (C, X, Y, Z) float32 array; returns (stacked, reference).
+    of one (C, X, Y, Z) float32 array; returns (stacked, (dims, spacing)),
+    the first input's native grid, which ``infer`` restores its labels onto.
 
-    Every input must share the first's native grid: the same dims, and
-    spacings equal within a relative ``volume._SPACING_RTOL``. The working
-    dims are taken once, from the first input, and each later input is
-    resampled as if it had the first's spacing, so every channel fits them.
+    Every input must share that grid (``volume.same_grid``). The working dims
+    are taken once, from it, and each later input is resampled as if it had
+    the first's spacing, so every channel fits them. Each input is freed once
+    it is resampled into its channel, so no native voxels are kept.
     """
     expected = cfg.network.in_channels
     if len(input_paths) != expected:
         raise ValueError(f"{cfg.task} takes {expected} input path(s), got {len(input_paths)}")
-    stacked = reference = None
+    stacked = None
     for idx, path in enumerate(input_paths):
         is_mask = idx in cfg.window.exempt_channels
         image = read_nifti(path, as_mask=is_mask)
         if stacked is None:
             first = (path, image.dims, image.spacing)
             stacked = np.empty((expected, *_output_dims(*first[1:], cfg.working_spacing)), np.float32)
-        elif image.dims != first[1] or not np.allclose(image.spacing, first[2], rtol=_SPACING_RTOL, atol=0):
+        elif not same_grid((image.dims, image.spacing), first[1:]):
             raise ValueError(f"{path} has grid {_grid(image.dims, image.spacing)} but {first[0]} has "
                              f"{_grid(*first[1:])}; register the inputs to one grid first")
         image.spacing = first[2]
-        if not is_mask:
+        if is_mask:
+            stacked[idx] = resample_nearest(image, cfg.working_spacing).labels
+        else:
             if image.channels != 1:
                 raise ValueError(f"{path}: expected a single-channel scan, got {image.channels} channels")
             finite = np.count_nonzero(np.isfinite(image.data))
             if finite != image.data.size:
                 raise ValueError(f"{path}: {image.data.size - finite} non-finite (NaN or Inf) voxels")
-            if reference is None:
-                reference = image
-        if is_mask:
-            stacked[idx] = resample_nearest(image, cfg.working_spacing).labels
-        else:
             resample_linear(image, cfg.working_spacing, out=stacked[idx:idx + 1])
-    return Volume3D(stacked, cfg.working_spacing), reference
+        del image  # before the next read
+    return Volume3D(stacked, cfg.working_spacing), first[1:]
 
 
 def cmd_infer(cfg: RunConfig, input_paths, output_path) -> int:
@@ -266,7 +265,7 @@ def cmd_infer(cfg: RunConfig, input_paths, output_path) -> int:
         raise ValueError("infer needs at least one --weights file")
 
     with _Stage("read-input") as stage:
-        stacked, reference = _load_channels(cfg, input_paths)
+        stacked, grid = _load_channels(cfg, input_paths)
 
         stage.name = "load-weights"
         models = [load_weights(path, cfg.network) for path in cfg.weights]
@@ -282,7 +281,7 @@ def cmd_infer(cfg: RunConfig, input_paths, output_path) -> int:
         del probs  # a float32 view that holds the window's whole float64 numerator
 
         stage.name = "restore-resolution"
-        labels = restore_resolution(labels, reference)
+        labels = restore_resolution(labels, *grid)
 
         stage.name = "write-output"
         atomic_write_nifti(labels, output_path)

@@ -142,7 +142,6 @@ class EvaluationRecord:
 class EvaluationResult:
     per_class_agg: dict[int, float]  # class id -> aggregated Dice
     mean_agg: float
-    all_empty: dict[int, bool]       # flags classes where every mask was empty
     records: list[EvaluationRecord]
 
 
@@ -165,12 +164,10 @@ def evaluate_set(truths, preds, ids=None) -> EvaluationResult:
         return mask.labels if isinstance(mask, LabelMask) else np.asarray(mask)
 
     per_class = {}
-    all_empty = {}
     records = []
     for c in FOREGROUND_CLASSES:
         counts = [_overlap(labels(t) == c, labels(p) == c) for t, p in zip(truths, preds)]
         per_class[c] = _pooled_dice(counts)
-        all_empty[c] = all(n_truth == 0 and n_pred == 0 for _, n_truth, n_pred in counts)
         for pid, (tp, n_truth, n_pred) in zip(ids, counts):
             records.append(EvaluationRecord(
                 patient_id=pid,
@@ -181,4 +178,4 @@ def evaluate_set(truths, preds, ids=None) -> EvaluationResult:
                 truth_empty=n_truth == 0,
             ))
     mean_agg = float(np.mean([per_class[c] for c in FOREGROUND_CLASSES]))
-    return EvaluationResult(per_class, mean_agg, all_empty, records)
+    return EvaluationResult(per_class, mean_agg, records)

@@ -8,9 +8,12 @@ and coordinates are clamped to the valid input domain at the borders.
 Output grids use ``ceil(dim_in * spacing_in / spacing_out)`` voxels per
 axis, the field of view shrunk by ``_SPACING_RTOL`` first, so the input is
 covered but float32 pixdim noise adds no plane (250 voxels of 0.8 mm take
-400 at 0.5 mm, not 401); the same tolerance says when two spacings are one
-grid. ``resample_linear`` can write its grid into a caller's array, such
-as one channel of a stacked input. ``LabelMask`` is the one check of mask
+400 at 0.5 mm, not 401); ``same_grid`` applies the same tolerance to say
+when two (dims, spacing) grids are one. ``resample_linear`` can write its
+grid into a caller's array, such as one channel of a stacked input.
+``restore_resolution(mask, dims, spacing)`` is the one nearest-label
+gather: ``resample_nearest`` calls it, and ``infer`` maps its labels back
+onto the first input's grid with it. ``LabelMask`` is the one check of mask
 labels, in code and from files alike: it checks the range on the caller's
 integer dtype, then casts to uint8, so no value wraps into a class.
 """
@@ -83,6 +86,11 @@ class LabelMask:
         return self.labels.shape
 
 
+def same_grid(grid, other) -> bool:
+    """Whether (dims, spacing) grids are one: equal dims, spacings within a relative ``_SPACING_RTOL``."""
+    return tuple(grid[0]) == tuple(other[0]) and np.allclose(grid[1], other[1], rtol=_SPACING_RTOL, atol=0)
+
+
 def _output_dims(dims, spacing_in, spacing_out) -> tuple[int, int, int]:
     """Voxels per axis covering the field of view shrunk by ``_SPACING_RTOL`` (see the module docstring)."""
     return tuple(
@@ -123,9 +131,10 @@ def resample_linear(vol: Volume3D, target_spacing, out: np.ndarray | None = None
     return Volume3D(out, target)
 
 
-def _nearest_labels(mask: LabelMask, dims, spacing) -> LabelMask:
-    """The (dims, spacing) grid, each voxel labelled as the nearest ``mask``
-    voxel center in physical coordinates; exact ties go to the lower index."""
+def restore_resolution(mask: LabelMask, dims, spacing) -> LabelMask:
+    """Map a mask onto the (dims, spacing) grid, such as a scan's own: each
+    voxel takes the label of the nearest mask voxel center in physical
+    coordinates; exact ties go to the lower index."""
     ix, iy, iz = (
         np.clip(np.ceil(_center_coords(n, so, si) - 0.5).astype(np.int64), 0, d - 1)
         for n, so, si, d in zip(dims, spacing, mask.spacing, mask.dims)
@@ -138,13 +147,4 @@ def resample_nearest(mask: LabelMask, target_spacing) -> LabelMask:
     target = _check_spacing(target_spacing)
     if target == mask.spacing:
         return LabelMask(mask.labels.copy(), mask.spacing)
-    return _nearest_labels(mask, _output_dims(mask.dims, mask.spacing, target), target)
-
-
-def restore_resolution(mask: LabelMask, reference: Volume3D) -> LabelMask:
-    """Map a working-grid mask back onto the grid of ``reference``.
-
-    The output has exactly the reference dims; each reference voxel takes
-    the label of the nearest mask voxel center in physical coordinates.
-    """
-    return _nearest_labels(mask, reference.dims, reference.spacing)
+    return restore_resolution(mask, _output_dims(mask.dims, mask.spacing, target), target)

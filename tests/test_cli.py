@@ -652,7 +652,8 @@ class TestInfer:
         assert digests[0] == digests[1]
 
     def test_task2_channels_are_resampled_into_one_stack(self, tmp_path, monkeypatch):
-        """The stacked input equals per-channel resampling plus np.stack, bit for bit, and holds no second stack."""
+        """The stacked input equals per-channel resampling plus np.stack, bit for bit; no second stack is
+        held, and no native scan outlives the call."""
         monkeypatch.setattr(_kernels, "_SLAB_BYTES", 64 << 10)
         native, spacing = (48, 40, 16), (1.0, 1.0, 2.0)  # 48x40x32 on the 1 mm working grid
         rng = np.random.default_rng(13)
@@ -668,16 +669,18 @@ class TestInfer:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            stacked, reference = cli._load_channels(cfg, paths)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            stacked, grid = cli._load_channels(cfg, paths)
+            retained, peak = (traced - before for traced in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         assert stacked.spacing == (1.0, 1.0, 1.0)
         assert stacked.data.dtype == np.float32 and stacked.data.tobytes() == expected.tobytes()
-        assert reference.dims == native and reference.data.tobytes() == scans[0].data.tobytes()
         stack = expected.nbytes
-        # the reference scan kept for the restore, and one read: the file's payload and its (X, Y, Z) array
-        native_reads = 3 * scans[0].data.nbytes
+        # only the stack outlives the call: a native scan kept for the restore would hold 122,880 B more
+        assert retained - stack < scans[0].data.nbytes, retained - stack
+        assert grid == (native, spacing)
+        # one read at a time: the file's payload and its (X, Y, Z) array
+        native_reads = 2 * scans[0].data.nbytes
         scratch = 3 * (64 << 10)  # a slab of trilinear input planes and the lower and upper corner slabs
         small = 128 << 10  # numpy's buffers, the nearest gather's uint8 grid and Python objects
         # a second stack (983 KB), or the channels listed before stacking, would exceed this

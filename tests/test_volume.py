@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from volseg.inference import SlidingWindowConfig, tile_offsets
-from volseg.volume import LabelMask, Volume3D, _output_dims, resample_linear, resample_nearest, restore_resolution
+from volseg.volume import (LabelMask, Volume3D, _output_dims, resample_linear, resample_nearest, restore_resolution,
+                           same_grid)
 
 from oracles import resample_linear_pointwise, resample_nearest_pointwise
 
@@ -66,6 +67,17 @@ class TestOutputDims:
         assert _output_dims((64, 64, 16), (1, 1, 4), (0.5, 0.5, 2)) == (128, 128, 32)
         assert _output_dims((128, 128, 32), (0.5, 0.5, 2), (1, 1, 4)) == (64, 64, 16)
         assert _output_dims((7, 5, 3), (0.5, 0.5, 2), (0.5, 0.5, 2)) == (7, 5, 3)
+
+
+class TestSameGrid:
+    def test_spacings_within_the_tolerance_are_one_grid(self):
+        assert same_grid(((8, 8, 4), (1.0, 1.0, 2.0)), ((8, 8, 4), (1.000001, 1.0, 2.000002)))  # 1e-6 apart
+
+    def test_differing_dims_are_two_grids(self):
+        assert not same_grid(((8, 8, 4), (1.0, 1.0, 2.0)), ((8, 8, 5), (1.0, 1.0, 2.0)))
+
+    def test_spacings_beyond_the_tolerance_are_two_grids(self):
+        assert not same_grid(((8, 8, 4), (1.0, 1.0, 2.0)), ((8, 8, 4), (1.0001, 1.0, 2.0)))  # 1e-4 apart
 
 
 class TestResampleLinear:
@@ -157,22 +169,21 @@ class TestRestoreResolution:
     def test_same_grid_is_identity(self):
         rng = np.random.default_rng(9)
         mask = LabelMask(rng.integers(0, 3, size=(4, 4, 4)).astype(np.uint8), (1, 1, 1))
-        ref = Volume3D(np.zeros((1, 4, 4, 4), np.float32), (1, 1, 1))
-        out = restore_resolution(mask, ref)
+        out = restore_resolution(mask, (4, 4, 4), (1, 1, 1))
         assert np.array_equal(out.labels, mask.labels)
 
     def test_constant_mask_restores_constant(self):
         mask = LabelMask(np.full((6, 6, 3), 1, np.uint8), (0.5, 0.5, 2.0))
-        ref = Volume3D(np.zeros((1, 3, 3, 6), np.float32), (1.0, 1.0, 1.0))
-        out = restore_resolution(mask, ref)
-        assert out.dims == ref.dims
+        dims = (3, 3, 6)
+        out = restore_resolution(mask, dims, (1.0, 1.0, 1.0))
+        assert out.dims == dims
         assert (out.labels == 1).all()
 
     def test_matches_pointwise_oracle_on_random_mask(self):
         rng = np.random.default_rng(10)
         mask = LabelMask(rng.integers(0, 3, size=(6, 6, 6)).astype(np.uint8), (0.5, 0.5, 2.0))
-        ref = Volume3D(np.zeros((1, 4, 5, 9), np.float32), (0.8, 0.7, 1.4))
-        out = restore_resolution(mask, ref)
-        expected = resample_nearest_pointwise(mask.labels, mask.spacing, ref.spacing, ref.dims)
-        assert out.dims == ref.dims
+        dims, spacing = (4, 5, 9), (0.8, 0.7, 1.4)
+        out = restore_resolution(mask, dims, spacing)
+        expected = resample_nearest_pointwise(mask.labels, mask.spacing, spacing, dims)
+        assert out.dims == dims
         assert np.array_equal(out.labels, expected)
