@@ -28,7 +28,7 @@ from .augmentation import AugmentationPolicy, TransformParams, apply_augmentatio
 from .inference import SlidingWindowConfig, argmax_labels, ensemble_predict, sliding_window_predict  # noqa: F401
 from .metrics import CLASS_NAMES, evaluate_set
 from .network import NetworkConfig, forward, layer_plan, load_weights
-from .nifti import atomic_write_nifti, read_nifti, write_nifti
+from .nifti import atomic_write_nifti, read_nifti
 from .sampling import PatchSample
 from .volume import (LabelMask, Volume3D, _check_spacing, _output_dims, resample_linear, resample_nearest,
                      restore_resolution, same_grid)
@@ -223,6 +223,14 @@ def _grid(dims, spacing) -> str:
     return f"{'x'.join(map(str, dims))} at {'x'.join(f'{s:g}' for s in spacing)} mm"
 
 
+def _require_grid(path, image, ref_path, ref) -> None:
+    """Refuse ``image``, read from ``path``, unless it lies on ``ref``, the (dims, spacing)
+    grid of ``ref_path`` (``volume.same_grid``)."""
+    if not same_grid((image.dims, image.spacing), ref):
+        raise ValueError(f"{path} has grid {_grid(image.dims, image.spacing)} but {ref_path} has "
+                         f"{_grid(*ref)}; register the inputs to one grid first")
+
+
 def _load_channels(cfg: RunConfig, input_paths):
     """Read the per-channel inputs and resample each straight into its channel
     of one (C, X, Y, Z) float32 array; returns (stacked, (dims, spacing)),
@@ -241,12 +249,11 @@ def _load_channels(cfg: RunConfig, input_paths):
         is_mask = idx in cfg.window.exempt_channels
         image = read_nifti(path, as_mask=is_mask)
         if stacked is None:
-            first = (path, image.dims, image.spacing)
-            stacked = np.empty((expected, *_output_dims(*first[1:], cfg.working_spacing)), np.float32)
-        elif not same_grid((image.dims, image.spacing), first[1:]):
-            raise ValueError(f"{path} has grid {_grid(image.dims, image.spacing)} but {first[0]} has "
-                             f"{_grid(*first[1:])}; register the inputs to one grid first")
-        image.spacing = first[2]
+            first, grid = path, (image.dims, image.spacing)
+            stacked = np.empty((expected, *_output_dims(*grid, cfg.working_spacing)), np.float32)
+        else:
+            _require_grid(path, image, first, grid)
+        image.spacing = grid[1]
         if is_mask:
             stacked[idx] = resample_nearest(image, cfg.working_spacing).labels
         else:
@@ -257,7 +264,7 @@ def _load_channels(cfg: RunConfig, input_paths):
                 raise ValueError(f"{path}: {image.data.size - finite} non-finite (NaN or Inf) voxels")
             resample_linear(image, cfg.working_spacing, out=stacked[idx:idx + 1])
         del image  # before the next read
-    return Volume3D(stacked, cfg.working_spacing), first[1:]
+    return Volume3D(stacked, cfg.working_spacing), grid
 
 
 def cmd_infer(cfg: RunConfig, input_paths, output_path) -> int:
@@ -314,8 +321,7 @@ def cmd_evaluate(truth_dir, pred_dir, csv_path=None, out=None) -> int:
         for name in common:
             truths.append(read_nifti(truth_files[name], as_mask=True))
             preds.append(read_nifti(pred_files[name], as_mask=True))
-            if truths[-1].dims != preds[-1].dims:
-                raise ValueError(f"{name}: dims differ {truths[-1].dims} vs {preds[-1].dims}")
+            _require_grid(pred_files[name], preds[-1], truth_files[name], (truths[-1].dims, truths[-1].spacing))
             ids.append(name.split(".nii")[0])
 
         stage.name = "evaluate"
@@ -370,8 +376,7 @@ def cmd_augment_preview(cfg: RunConfig, volume_path, mask_path, iteration, out_d
     with _Stage("read-input") as stage:
         vol = read_nifti(volume_path)
         mask = read_nifti(mask_path, as_mask=True)
-        if vol.dims != mask.dims:
-            raise ValueError(f"volume dims {vol.dims} != mask dims {mask.dims}")
+        _require_grid(mask_path, mask, volume_path, (vol.dims, vol.spacing))
 
         stage.name = "augment"
         patch = PatchSample((0, 0, 0), vol.data.copy(), mask.labels.copy(), "random")
@@ -382,8 +387,8 @@ def cmd_augment_preview(cfg: RunConfig, volume_path, mask_path, iteration, out_d
 
         stage.name = "write-output"
         os.makedirs(out_dir, exist_ok=True)
-        write_nifti(Volume3D(result.data, vol.spacing), os.path.join(out_dir, "augmented_volume.nii.gz"))
-        write_nifti(LabelMask(result.mask_patch, mask.spacing), os.path.join(out_dir, "augmented_mask.nii.gz"))
+        atomic_write_nifti(Volume3D(result.data, vol.spacing), os.path.join(out_dir, "augmented_volume.nii.gz"))
+        atomic_write_nifti(LabelMask(result.mask_patch, mask.spacing), os.path.join(out_dir, "augmented_mask.nii.gz"))
         log_path = os.path.join(out_dir, "augment_log.txt")
         with open(log_path, "w") as f:
             mode = "constant baseline" if cfg.policy.constant_p is not None else "scheduled"

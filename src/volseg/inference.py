@@ -4,12 +4,13 @@ The tiles are every combination of each axis's patch starts on a stride
 grid (the last flush with the far edge). Each patch is
 normalized patch-wise once and run through every fold member's predictor,
 one member at a time. ``ensemble_predict`` adds each member's
-probabilities, weighted by ``kernel / F`` for F members, straight into a
-float64 numerator grid, one slab of X planes at a time, so only one
-member's output exists at any time; the window's result is the numerator
-divided by the summed weights, which equals the mean of the per-member
-windows because every member sees the same tiles and weights. The division
-writes its float32 result over the front of the numerator's own buffer.
+probabilities, weighted by the kernel, straight into a float64 numerator
+grid, one slab of X planes at a time, so only one member's output exists
+at any time. With F members the summed weights (the denominator) are
+scaled by F once, so the window's result, the numerator divided by them,
+is the mean of the per-member windows, because every member sees the same
+tiles and weights. The division writes its float32 result over the front
+of the numerator's own buffer.
 
 Overlaps can be blended with equal weights or with a separable Gaussian
 kernel falling from 1 at the patch center to a configurable edge value
@@ -174,6 +175,7 @@ def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: S
     dims = vol.dims
     kernel = _kernel_for(config)
     den_axes = _axis_weight_sums(_axis_offsets(dims, config), kernel, dims)
+    den_axes[0] *= len(predictors)  # every member adds a full weight, so the division takes their mean
     ex, ey, ez = (min(p, d) for p, d in zip(config.patch_size, dims))  # a tile's extent inside the volume
     px, py, pz = config.patch_size
 
@@ -189,8 +191,7 @@ def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: S
                 raise ValueError(f"predictor returned shape {probs.shape}, expected (C, {px}, {py}, {pz})")
             if num is None:
                 num = np.zeros((probs.shape[0], *dims), dtype=np.float64)
-            ensemble_predict(probs[:, :ex, :ey, :ez], kernel, len(predictors),
-                             num[:, ox:ox + ex, oy:oy + ey, oz:oz + ez])
+            ensemble_predict(probs[:, :ex, :ey, :ez], kernel, num[:, ox:ox + ex, oy:oy + ey, oz:oz + ez])
             del probs  # released before the next member runs
     return Volume3D(_divide_by_weights(num, den_axes), vol.spacing)
 
@@ -218,26 +219,24 @@ def _divide_by_weights(num: np.ndarray, den_axes) -> np.ndarray:
     return out
 
 
-def ensemble_predict(probs, kernel: WeightKernel, members: int, out: np.ndarray) -> np.ndarray:
-    """Blend one of ``members`` fold members into a float64 accumulator:
-    ``out += probs * (kernel / members)``.
+def ensemble_predict(probs, kernel: WeightKernel, out: np.ndarray) -> np.ndarray:
+    """Blend one fold member into a float64 accumulator: ``out += probs * kernel``.
 
     ``probs`` and ``out`` are (C, X, Y, Z), and the kernel's weights are
     cut to their first (X, Y, Z) values. ``sliding_window_predict`` calls
     it for every member on every tile, with ``out`` the tile's region of its
     numerator grid (it and ``probs`` cut to the part of the tile inside the
-    volume), so the window blends the fold mean without keeping any
-    member's output, a float64 tile or a kernel volume. Each slab of X
-    planes forms its ``kernel / members`` beside its float64 product
-    buffer; the two fit one slab budget together.
+    volume), and divides by the member count once, in its denominator, so
+    the window blends the fold mean without keeping any member's output, a
+    float64 tile or a kernel volume. Each slab of X planes forms its kernel
+    weights beside its float64 product buffer; the two fit one slab budget
+    together.
     """
     probs = np.asarray(probs)
     if (out.dtype != np.float64 or out.ndim != 4 or probs.shape != out.shape
             or any(n > k for n, k in zip(out.shape[1:], kernel.size))):
         raise ValueError(f"shape mismatch in ensemble: probabilities {probs.shape}, kernel "
                          f"{kernel.size}, float64 accumulator {out.shape} ({out.dtype})")
-    if members < 1:
-        raise ValueError(f"the blend needs at least one member, got {members}")
     channels, px, py, pz = out.shape
     step = min(px, _slab_planes(channels + 1, py, pz))
     buf = np.empty((channels, step, py, pz))
@@ -245,7 +244,6 @@ def ensemble_predict(probs, kernel: WeightKernel, members: int, out: np.ndarray)
     for x0 in range(0, px, step):
         x1 = min(px, x0 + step)
         w = kernel.slab(x0, x1, py, pz, out=weights[:x1 - x0])
-        w /= members  # each member's share of the tile's weight
         np.multiply(probs[:, x0:x1], w, out=buf[:, :x1 - x0])
         out[:, x0:x1] += buf[:, :x1 - x0]
     return out

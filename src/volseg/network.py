@@ -12,11 +12,12 @@ sizes come from ``kernel_plan``; with the default plan (3,3,3,3,1,1) the
 about 14M.
 
 ``layer_plan`` is the one description of this structure: the layers in
-execution order, without parameters. ``build_unet`` and ``load_weights``
-fill in the parameters, ``volseg net-info`` counts them from the plan's
-shapes, and ``forward`` interprets the list one layer at a time. Skips are
-a stack: each max pool pushes its input, and each upsample pops the
-innermost skip, which follows the upsampled features along channels.
+execution order, without parameters, each with the halo it writes (its
+``pad``, below). ``build_unet`` and ``load_weights`` fill in the
+parameters, ``volseg net-info`` counts them from the plan's shapes, and
+``forward`` interprets the list one layer at a time. Skips are a stack:
+each max pool pushes its input, and each upsample pops the innermost skip,
+which follows the upsampled features along channels.
 
 Memory order is chosen by kernel size; logical shapes never change. A conv
 with a kernel larger than 1x1x1 reads its input from a ``halo_buffer``: a
@@ -48,9 +49,10 @@ conv's weight as (2, kx, kz, cin/2, ky, cout), each half a GEMM operand.
 No 5-D view has that memory, so its ``weights`` are shaped (cout, 2,
 cin/2, kx, ky, kz), cin split into its (U, S) halves; their reshape to
 (cout, cin, kx, ky, kz) is the logical weight, and the weight file is
-unchanged. Which layer writes which halo, and so which decoder convs run
-in halves, is one rule in one place: ``_halo_pads``, a function of the
-layer list alone, which ``forward`` and ``load_weights`` both read.
+unchanged. Which layer writes which halo is plan data, each such layer's
+``pad``, and so is the split: a conv larger than 1x1x1 right after an
+upsample with a pad runs in halves. ``forward`` and ``load_weights`` both
+read it off the plan.
 
 Every conv but the last feeds an instance norm, which subtracts each
 channel's mean and so cancels a per-channel bias; ``forward`` skips those
@@ -118,6 +120,9 @@ class Layer:
     # conv's (cout, 2, cin/2, kx, ky, kz) (see the module docstring); norm: gamma (c,)
     weights: np.ndarray | None = None
     bias: np.ndarray | None = None     # conv: (cout,); norm: beta (c,)
+    # the zero border of the halo_buffer this layer writes its output into, or None
+    # for a plain array; set by layer_plan alone
+    pad: tuple[int, int, int] | None = None
 
     def param_shapes(self) -> tuple[tuple[int, ...], ...]:
         """Shapes of (weights, bias) for this layer's kind; () if it has none."""
@@ -138,10 +143,18 @@ class Model:
 
 
 def layer_plan(config: NetworkConfig) -> list[Layer]:
-    """The network's layers in execution order, without parameter arrays."""
-    plan = []
+    """The network's layers in execution order, without parameter arrays.
+
+    Each layer whose output a conv larger than 1x1x1 reads gets that halo's
+    ``pad``: the layer before the conv, and for a decoder conv right after
+    an upsample also the encoder ReLU whose skip the matching max pool
+    pushed. The network's first conv has no producer and pads its own input.
+    """
+    plan, skips = [], []
 
     def block(k, cin, cout):
+        if k > 1 and plan:
+            plan[-1].pad = (k // 2,) * 3
         plan.append(Layer("conv", (k, k, k), cin, cout))
         plan.append(Layer("instance_norm", cin=cout, cout=cout))
         plan.append(Layer("relu", cin=cout, cout=cout))
@@ -154,14 +167,17 @@ def layer_plan(config: NetworkConfig) -> list[Layer]:
         for b in range(config.convs_per_stage):
             block(k, cin if b == 0 else w, w)
         if s < config.num_stages:
+            skips.append(plan[-1])
             plan.append(Layer("max_pool", (2, 2, 2), w, w))  # pushes its input as a skip
     # decoder
     for s in range(config.num_stages - 1, 0, -1):
         w = config.stage_width(s)
         block(1, 2 * w, w)                               # channel-halving conv block
-        plan.append(Layer("upsample", (2, 2, 2), w, w))  # nearest 2x, then pops a skip
+        up = Layer("upsample", (2, 2, 2), w, w)          # nearest 2x, then pops a skip
+        plan.append(up)
         for b in range(config.convs_per_stage):
             block(config.kernel_plan[s - 1], 2 * w if b == 0 else w, w)
+        skips.pop().pad = up.pad  # a halved conv reads the skip from a halo too
     plan.append(Layer("conv", (1, 1, 1), config.base_width, config.num_classes))
     plan.append(Layer("softmax", cin=config.num_classes, cout=config.num_classes))
     return plan
@@ -342,30 +358,9 @@ def _upsample_concat(x: Tensor4D, skip: Tensor4D) -> Tensor4D:
 # forward pass
 # ---------------------------------------------------------------------------
 
-def _halo_pads(layers: list[Layer]) -> dict[int, tuple[int, int, int]]:
-    """The halo rule: each layer index whose output a conv larger than 1x1x1
-    reads -> that halo's pad, which holds the layer's own output channels.
-
-    A conv's producer is the layer before it, and a conv right after an
-    upsample also reads the skip from the ReLU before the matching max pool.
-    The network's first conv has no producer and pads its own input.
-    """
-    pads, skips = {}, []
-    for i, lay in enumerate(layers):
-        if lay.kind == "max_pool":
-            skips.append(i - 1)  # the ReLU that makes the skip
-        elif lay.kind == "upsample":
-            skip = skips.pop()
-        elif lay.kind == "conv" and lay.kernel != (1, 1, 1) and i > 0:
-            pads[i - 1] = tuple(k // 2 for k in lay.kernel)
-            if layers[i - 1].kind == "upsample":
-                pads[skip] = pads[i - 1]
-    return pads
-
-
-def _producer_halo(lay: Layer, dims, pad) -> tuple[Tensor4D | None, Tensor4D | None]:
-    """``halo_buffer`` of ``lay``'s output channels at ``pad``, or Nones when ``pad`` is None."""
-    return (None, None) if pad is None else halo_buffer(lay.cout, dims, pad)
+def _producer_halo(lay: Layer, dims) -> tuple[Tensor4D | None, Tensor4D | None]:
+    """``halo_buffer`` of ``lay``'s output channels at ``lay.pad``, or Nones when it has none."""
+    return (None, None) if lay.pad is None else halo_buffer(lay.cout, dims, lay.pad)
 
 
 def forward(model: Model, x: Tensor4D) -> Tensor4D:
@@ -374,11 +369,11 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
     Walks ``model.layers`` in order. The ops are looked up in this module's
     namespace at each call, so a wrapper installed on the module sees them.
     A conv followed by instance norm skips its bias: the norm subtracts each
-    channel's mean, which cancels it. Each layer that ``_halo_pads`` lists
-    writes its output into a ``halo_buffer`` of that pad; the conv that reads
-    it gets the interior as ``x`` and the buffer as ``halo``. An upsample it
-    lists feeds a decoder conv that runs in halves (see the module
-    docstring); any other upsample builds the concat.
+    channel's mean, which cancels it. Each layer with a ``pad`` writes its
+    output into a ``halo_buffer`` of that pad; the conv that reads it gets
+    the interior as ``x`` and the buffer as ``halo``. An upsample with a pad
+    feeds a decoder conv that runs in halves (see the module docstring); any
+    other upsample builds the concat.
     """
     cfg = model.config
     x = np.asarray(x, dtype=np.float32)
@@ -389,7 +384,6 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
         raise ValueError(f"spatial dims {x.shape[1:]} must be divisible by {divisor}")
 
     layers = model.layers
-    pads = _halo_pads(layers)
     skips = []  # (halo or None, skip), innermost last
     halo = out = skip = None
     for i, lay in enumerate(layers):
@@ -402,7 +396,7 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
                 halves = lay.weights.reshape(lay.cout, 2, lay.cin // 2, *lay.kernel)  # (U, S) along cin
                 acc = conv3d(skip, halves[:, 1], bias, halo=halo)
                 skip = halo = None  # the skip's last reader is done
-                halo, out = _producer_halo(layers[i - 1], acc.shape[1:], pads[i - 1])
+                halo, out = _producer_halo(layers[i - 1], acc.shape[1:])
                 x = nearest_upsample_2x(x, out=out)
                 x = conv3d(x, halves[:, 0], None, halo=halo, out=acc)
                 acc = None  # x holds the sum
@@ -410,15 +404,15 @@ def forward(model: Model, x: Tensor4D) -> Tensor4D:
         elif lay.kind == "instance_norm":
             x = instance_norm(x, lay.weights, lay.bias, out=x)  # always a conv's fresh output
         elif lay.kind == "relu":
-            halo, out = _producer_halo(lay, x.shape[1:], pads.get(i))
+            halo, out = _producer_halo(lay, x.shape[1:])
             x = relu(x, out=x if out is None else out)
         elif lay.kind == "max_pool":
             skips.append((halo, x))
-            halo, out = _producer_halo(lay, [d // 2 for d in x.shape[1:]], pads.get(i))
+            halo, out = _producer_halo(lay, [d // 2 for d in x.shape[1:]])
             x = max_pool_2x(x, out=out)
         elif lay.kind == "upsample":
             halo, skip = skips.pop()
-            if i not in pads:  # a 1x1x1 conv reads the concat
+            if lay.pad is None:  # a 1x1x1 conv reads the concat
                 x, skip = _upsample_concat(x, skip), None
         elif lay.kind == "softmax":
             x = softmax_channels(x, out=x)
@@ -463,7 +457,6 @@ def load_weights(path, config: NetworkConfig) -> Model:
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
             raise WeightFormatError(f"{path}: missing {_MAGIC!r} magic")
-        pads = _halo_pads(model.layers)
         for i, lay in enumerate(model.layers):
             header = f.read(_REC.size)
             if len(header) < _REC.size:
@@ -490,7 +483,8 @@ def load_weights(path, config: NetworkConfig) -> Model:
                 if lay.kind == "conv" and lay.kernel != (1, 1, 1):
                     # memory order (halves, kx, kz, cin / halves, ky, cout): each
                     # half's GEMM operand is contiguous
-                    halves = 2 if i - 1 in pads and model.layers[i - 1].kind == "upsample" else 1
+                    prev = model.layers[i - 1]  # the first conv (i = 0) has no producer
+                    halves = 2 if i > 0 and prev.kind == "upsample" and prev.pad else 1
                     part = lay.cin // halves
                     values = values.reshape(cout, halves, part, kx, ky, kz).transpose(1, 3, 5, 2, 4, 0)
                     stored = np.empty(values.shape, dtype=np.float32)

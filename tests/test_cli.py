@@ -427,6 +427,20 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"error: {stage}: " in err and "Traceback" not in err
 
+    def test_prediction_on_another_spacing_is_read_input_error(self, tmp_path, capsys):
+        # equal dims at half the truth's spacing: another grid, whatever the labels say
+        rng = np.random.default_rng(6)
+        truth_dir, masks = self.write_masks(tmp_path, rng, ["a.nii"], "truth")
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        write_nifti(LabelMask(masks["a.nii"].labels, (0.5, 0.5, 0.5)), pred_dir / "a.nii")
+        csv_out = tmp_path / "report.csv"
+        assert main(["evaluate", str(truth_dir), str(pred_dir), "--csv", str(csv_out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: read-input: ")
+        assert str(pred_dir / "a.nii") in err and str(truth_dir / "a.nii") in err
+        assert not csv_out.exists()
+
     def test_truncated_gzip_mask_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         truth_dir, _ = self.write_masks(tmp_path, rng, ["a.nii.gz"], "truth")
@@ -655,7 +669,9 @@ class TestInfer:
         """The stacked input equals per-channel resampling plus np.stack, bit for bit; no second stack is
         held, and no native scan outlives the call."""
         monkeypatch.setattr(_kernels, "_SLAB_BYTES", 64 << 10)
-        native, spacing = (48, 40, 16), (1.0, 1.0, 2.0)  # 48x40x32 on the 1 mm working grid
+        # 96x80x32 on the 1 mm working grid; one native scan (491,520 B) outweighs the
+        # scratch and small allowances below (327,680 B), so a kept one would break the peak bound
+        native, spacing = (96, 80, 16), (1.0, 1.0, 2.0)
         rng = np.random.default_rng(13)
         scans = [Volume3D(rng.normal(size=(1, *native)).astype(np.float32), spacing) for _ in range(2)]
         masks = [LabelMask(rng.integers(0, 2, size=native).astype(np.uint8), spacing) for _ in range(2)]
@@ -676,14 +692,15 @@ class TestInfer:
         assert stacked.spacing == (1.0, 1.0, 1.0)
         assert stacked.data.dtype == np.float32 and stacked.data.tobytes() == expected.tobytes()
         stack = expected.nbytes
-        # only the stack outlives the call: a native scan kept for the restore would hold 122,880 B more
+        # only the stack outlives the call: a native scan kept for the restore would hold 491,520 B more
         assert retained - stack < scans[0].data.nbytes, retained - stack
         assert grid == (native, spacing)
         # one read at a time: the file's payload and its (X, Y, Z) array
         native_reads = 2 * scans[0].data.nbytes
         scratch = 3 * (64 << 10)  # a slab of trilinear input planes and the lower and upper corner slabs
         small = 128 << 10  # numpy's buffers, the nearest gather's uint8 grid and Python objects
-        # a second stack (983 KB), or the channels listed before stacking, would exceed this
+        # a second stack (3.9 MB), a native scan held across the next read, or the channels listed
+        # before stacking would exceed this
         assert peak <= stack + native_reads + scratch + small, peak
 
     def test_wrong_input_count_is_data_error(self, tmp_path, capsys):
@@ -817,6 +834,17 @@ class TestAugmentPreview:
         assert main(["augment-preview", "--volume", missing, "--mask", missing,
                      "--iter", iteration, "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err == f"error: --iter: iteration {iteration} outside [0, 100000]\n"
+        assert not out_dir.exists()
+
+    def test_volume_and_mask_on_other_spacings_are_read_input_error(self, tmp_path, capsys):
+        vol, mask = self.inputs(tmp_path)
+        coarse = read_nifti(vol)
+        coarse.spacing = (2.0, 2.0, 2.0)
+        write_nifti(coarse, vol)
+        out_dir = tmp_path / "preview"
+        assert main(["augment-preview", "--volume", vol, "--mask", mask, "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: read-input: ") and vol in err and mask in err
         assert not out_dir.exists()
 
     def test_constant_p_above_one_is_data_error(self, tmp_path, capsys):

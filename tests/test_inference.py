@@ -422,12 +422,13 @@ class TestEnsembleAndArgmax:
         return Volume3D((raw / raw.sum(axis=0)).astype(np.float32), (1, 1, 1))
 
     def blend(self, members):
-        """Equal-weight fold mean through ``ensemble_predict``, one member at a time."""
+        """Equal-weight fold mean: the members' sum through ``ensemble_predict``, one member at a
+        time, divided by the member count."""
         out = np.zeros(members[0].shape)
         kernel = equal_weight_kernel(members[0].shape[1:])
         for probs in members:
-            ensemble_predict(probs, kernel, len(members), out)
-        return out
+            ensemble_predict(probs, kernel, out)
+        return out / len(members)
 
     def test_mean_of_identical_inputs_is_identity(self):
         vol = self.prob_volume(np.random.default_rng(9))
@@ -454,10 +455,11 @@ class TestEnsembleAndArgmax:
     def test_bit_identical_to_float64_copy_and_add(self, members):
         rng = np.random.default_rng(12 + members)
         probs = [self.prob_volume(rng).data for _ in range(members)]
-        weights = np.full((4, 4, 4), 1.0 / members)
+        weights = np.ones((4, 4, 4))
         expected = np.zeros((3, 4, 4, 4))
         for p in probs:
             expected += p.astype(np.float64) * weights
+        expected /= members
         out = self.blend(probs)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, expected)
@@ -471,10 +473,10 @@ class TestEnsembleAndArgmax:
         for slab_bytes in (1, 8 * 4 * 5 * 3 * 2, 1 << 20):
             monkeypatch.setattr(inference, "_SLAB_BYTES", slab_bytes)
             num = np.ones((3, 9, 6, 3))
-            assert ensemble_predict(probs, kernel, 3, num[:, 1:8, 1:]) is not None
+            assert ensemble_predict(probs, kernel, num[:, 1:8, 1:]) is not None
             results.append(num)
         expected = np.ones((3, 9, 6, 3))
-        expected[:, 1:8, 1:] += probs.astype(np.float64) * (kernel.weights / 3)
+        expected[:, 1:8, 1:] += probs.astype(np.float64) * kernel.weights
         for num in results:
             np.testing.assert_array_equal(num, expected)
 
@@ -482,8 +484,8 @@ class TestEnsembleAndArgmax:
         """A tile cut by the volume's edge takes the front of the kernel, bit for bit."""
         probs = self.prob_volume(np.random.default_rng(16), dims=(5, 4, 2)).data
         kernel = gaussian_weight_kernel((7, 5, 3))
-        out = ensemble_predict(probs, kernel, 2, np.zeros((3, 5, 4, 2)))
-        expected = probs.astype(np.float64) * (kernel.weights[:5, :4, :2] / 2)
+        out = ensemble_predict(probs, kernel, np.zeros((3, 5, 4, 2)))
+        expected = probs.astype(np.float64) * kernel.weights[:5, :4, :2]
         assert out.tobytes() == expected.tobytes()
 
     def test_dim_mismatch_rejected(self):
@@ -491,13 +493,11 @@ class TestEnsembleAndArgmax:
         out = np.zeros((3, 4, 4, 4))
         kernel = equal_weight_kernel((4, 4, 4))
         with pytest.raises(ValueError, match="shape mismatch"):
-            ensemble_predict(self.prob_volume(rng, dims=(3, 3, 3)).data, kernel, 1, out)
+            ensemble_predict(self.prob_volume(rng, dims=(3, 3, 3)).data, kernel, out)
         with pytest.raises(ValueError, match="shape mismatch"):  # a kernel smaller than the tile
-            ensemble_predict(self.prob_volume(rng).data, equal_weight_kernel((4, 4, 3)), 1, out)
+            ensemble_predict(self.prob_volume(rng).data, equal_weight_kernel((4, 4, 3)), out)
         with pytest.raises(ValueError, match="shape mismatch"):
-            ensemble_predict(self.prob_volume(rng).data, kernel, 1, out.astype(np.float32))
-        with pytest.raises(ValueError, match="at least one member"):
-            ensemble_predict(self.prob_volume(rng).data, kernel, 0, out)
+            ensemble_predict(self.prob_volume(rng).data, kernel, out.astype(np.float32))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_empty_rejected(self):

@@ -283,8 +283,8 @@ class TestForward:
     @pytest.mark.parametrize("kernel_plan", [(3, 3, 1, 1), (1, 3, 3, 1)])
     def test_producer_written_halos_equal_convs_padding_their_own_input(self, monkeypatch, kernel_plan):
         # 3x3x3 and 1x1x1 stages, random conv biases and norm affines: the
-        # forward whose ReLUs, pools and upsamples write the halos that
-        # _halo_pads lists gives the bits of one whose every conv pads its
+        # forward whose ReLUs, pools and upsamples write the halos that the
+        # plan's pads list gives the bits of one whose every conv pads its
         # own input
         cfg = NetworkConfig(in_channels=2, base_width=4, num_stages=4, kernel_plan=kernel_plan)
         model = build_unet(cfg, init_seed=19)
@@ -320,7 +320,8 @@ class TestForward:
     @pytest.mark.parametrize("plan", HALO_PADS)
     def test_halo_pads_from_the_plan_alone(self, plan):
         kernel_plan, stages = plan
-        pads = network._halo_pads(layer_plan(NetworkConfig(num_stages=stages, kernel_plan=kernel_plan)))
+        layers = layer_plan(NetworkConfig(num_stages=stages, kernel_plan=kernel_plan))
+        pads = {i: lay.pad for i, lay in enumerate(layers) if lay.pad}
         assert pads == dict.fromkeys(self.HALO_PADS[plan], (1, 1, 1))
 
     @pytest.mark.parametrize("plan", HALO_PADS)
@@ -335,7 +336,7 @@ class TestForward:
         buffer = network.halo_buffer
         monkeypatch.setattr(network, "halo_buffer", lambda *args: calls.append(args) or buffer(*args))
         forward(model, np.ones((1, *(2 ** (stages - 1),) * 3), np.float32))
-        pads = network._halo_pads(model.layers)
+        pads = {i: lay.pad for i, lay in enumerate(model.layers) if lay.pad}
         assert len(calls) == len(pads) + (kernel_plan[0] == 3)
 
     @staticmethod
