@@ -45,6 +45,11 @@ _GEMM_BLOCK_BYTES = 1 << 20
 _SLAB_BYTES = 1 << 20
 
 
+def _slab_planes(*plane_shape) -> int:
+    """X planes of ``plane_shape`` float64 values that fit the slab budget, at least one."""
+    return max(1, _SLAB_BYTES // (8 * int(np.prod(plane_shape))))
+
+
 # ---------------------------------------------------------------------------
 # 3D cross-correlation on an already zero-padded input.
 # padded: (Cin, X+kx-1, Y+ky-1, Z+kz-1) float32, any memory order; it is
@@ -179,7 +184,7 @@ def trilinear_core(src: np.ndarray, cx: np.ndarray, cy: np.ndarray, cz: np.ndarr
                    out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty((len(cx), len(cy), len(cz)), dtype=np.float32)
-    step = max(1, _SLAB_BYTES // (8 * max(src.shape[1], len(cy)) * max(src.shape[2], len(cz))))
+    step = _slab_planes(max(src.shape[1], len(cy)), max(src.shape[2], len(cz)))
     for x0 in range(0, len(cx), step):
         t = _lerp_axis(src, cx[x0:x0 + step], 0)
         t = _lerp_axis(t, cy, 1)

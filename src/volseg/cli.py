@@ -28,7 +28,7 @@ from .augmentation import AugmentationPolicy, TransformParams, apply_augmentatio
 from .inference import SlidingWindowConfig, argmax_labels, ensemble_predict, sliding_window_predict  # noqa: F401
 from .metrics import CLASS_NAMES, evaluate_set
 from .network import NetworkConfig, forward, layer_plan, load_weights
-from .nifti import atomic_write_nifti, read_nifti
+from .nifti import atomic_write_nifti, read_nifti, read_nifti_header
 from .sampling import PatchSample
 from .volume import (LabelMask, Volume3D, _check_spacing, _output_dims, resample_linear, resample_nearest,
                      restore_resolution, same_grid)
@@ -223,12 +223,12 @@ def _grid(dims, spacing) -> str:
     return f"{'x'.join(map(str, dims))} at {'x'.join(f'{s:g}' for s in spacing)} mm"
 
 
-def _require_grid(path, image, ref_path, ref) -> None:
-    """Refuse ``image``, read from ``path``, unless it lies on ``ref``, the (dims, spacing)
-    grid of ``ref_path`` (``volume.same_grid``)."""
-    if not same_grid((image.dims, image.spacing), ref):
-        raise ValueError(f"{path} has grid {_grid(image.dims, image.spacing)} but {ref_path} has "
-                         f"{_grid(*ref)}; register the inputs to one grid first")
+def _require_grid(path, grid, ref_path, ref_grid) -> None:
+    """Refuse ``path`` unless its (dims, spacing) ``grid`` is ``ref_grid``, that of ``ref_path``
+    (``volume.same_grid``)."""
+    if not same_grid(grid, ref_grid):
+        raise ValueError(f"{path} has grid {_grid(*grid)} but {ref_path} has "
+                         f"{_grid(*ref_grid)}; register the inputs to one grid first")
 
 
 def _load_channels(cfg: RunConfig, input_paths):
@@ -236,29 +236,29 @@ def _load_channels(cfg: RunConfig, input_paths):
     of one (C, X, Y, Z) float32 array; returns (stacked, (dims, spacing)),
     the first input's native grid, which ``infer`` restores its labels onto.
 
-    Every input must share that grid (``volume.same_grid``). The working dims
-    are taken once, from it, and each later input is resampled as if it had
-    the first's spacing, so every channel fits them. Each input is freed once
-    it is resampled into its channel, so no native voxels are kept.
+    Every header is read first, so an input off the first's grid (``volume.same_grid``)
+    or with more than one channel is refused before any payload is read. The working dims are
+    taken once, from that grid, and each input is resampled as if it had the first's
+    spacing; each payload is checked against it again and freed once in its channel.
     """
     expected = cfg.network.in_channels
     if len(input_paths) != expected:
         raise ValueError(f"{cfg.task} takes {expected} input path(s), got {len(input_paths)}")
-    stacked = None
+    headers = [read_nifti_header(path) for path in input_paths]
+    grid = headers[0].grid
+    for path, header in zip(input_paths, headers):
+        _require_grid(path, header.grid, input_paths[0], grid)
+        if header.channels != 1:
+            raise ValueError(f"{path}: expected a single-channel input, got {header.channels} channels")
+    stacked = np.empty((expected, *_output_dims(*grid, cfg.working_spacing)), np.float32)
     for idx, path in enumerate(input_paths):
         is_mask = idx in cfg.window.exempt_channels
         image = read_nifti(path, as_mask=is_mask)
-        if stacked is None:
-            first, grid = path, (image.dims, image.spacing)
-            stacked = np.empty((expected, *_output_dims(*grid, cfg.working_spacing)), np.float32)
-        else:
-            _require_grid(path, image, first, grid)
+        _require_grid(path, (image.dims, image.spacing), input_paths[0], grid)
         image.spacing = grid[1]
         if is_mask:
             stacked[idx] = resample_nearest(image, cfg.working_spacing).labels
         else:
-            if image.channels != 1:
-                raise ValueError(f"{path}: expected a single-channel scan, got {image.channels} channels")
             finite = np.count_nonzero(np.isfinite(image.data))
             if finite != image.data.size:
                 raise ValueError(f"{path}: {image.data.size - finite} non-finite (NaN or Inf) voxels")
@@ -317,12 +317,15 @@ def cmd_evaluate(truth_dir, pred_dir, csv_path=None, out=None) -> int:
         if not common:
             raise ValueError("no matching truth/prediction file pairs")
 
-        truths, preds, ids = [], [], []
-        for name in common:
-            truths.append(read_nifti(truth_files[name], as_mask=True))
-            preds.append(read_nifti(pred_files[name], as_mask=True))
-            _require_grid(pred_files[name], preds[-1], truth_files[name], (truths[-1].dims, truths[-1].spacing))
-            ids.append(name.split(".nii")[0])
+        pairs = [(truth_files[name], pred_files[name]) for name in common]
+        for truth, pred in pairs:
+            _require_grid(pred, read_nifti_header(pred).grid, truth, read_nifti_header(truth).grid)
+        truths, preds = [], []
+        for truth, pred in pairs:
+            truths.append(read_nifti(truth, as_mask=True))
+            preds.append(read_nifti(pred, as_mask=True))
+            _require_grid(pred, (preds[-1].dims, preds[-1].spacing), truth, (truths[-1].dims, truths[-1].spacing))
+        ids = [name.split(".nii")[0] for name in common]
 
         stage.name = "evaluate"
         result = evaluate_set(truths, preds, ids=ids)
@@ -374,9 +377,10 @@ def cmd_augment_preview(cfg: RunConfig, volume_path, mask_path, iteration, out_d
     with _Stage("--iter"):
         p = scheduled_probability(iteration, cfg.policy)
     with _Stage("read-input") as stage:
+        _require_grid(mask_path, read_nifti_header(mask_path).grid, volume_path, read_nifti_header(volume_path).grid)
         vol = read_nifti(volume_path)
         mask = read_nifti(mask_path, as_mask=True)
-        _require_grid(mask_path, mask, volume_path, (vol.dims, vol.spacing))
+        _require_grid(mask_path, (mask.dims, mask.spacing), volume_path, (vol.dims, vol.spacing))
 
         stage.name = "augment"
         patch = PatchSample((0, 0, 0), vol.data.copy(), mask.labels.copy(), "random")

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import _SLAB_BYTES
+from ._kernels import _slab_planes
 from .sampling import normalize_patchwise, zero_filled_patch
 from .volume import LabelMask, Volume3D
 
@@ -145,11 +145,6 @@ def _axis_weight_sums(starts, kernel: WeightKernel, dims) -> list[np.ndarray]:
             total[start:start + len(profile)] += profile[:dim - start]
         sums.append(total)
     return sums
-
-
-def _slab_planes(*plane_shape) -> int:
-    """X planes of ``plane_shape`` float64 values that fit the slab budget, at least one."""
-    return max(1, _SLAB_BYTES // (8 * int(np.prod(plane_shape))))
 
 
 def sliding_window_predict(vol: Volume3D, predictors: list[Predictor], config: SlidingWindowConfig) -> Volume3D:

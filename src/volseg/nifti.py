@@ -11,14 +11,16 @@ bit-exact. Reads scale by ``scl_slope``/``scl_inter`` unless the slope is 0
 (NIfTI-1: no scaling) or the pair is (1, 0); as in ``nifti1_io.c``, a NaN or
 infinite slope or intercept reads as 0. :class:`LabelMask` checks mask
 labels on the stored dtype; a mask read reports its error naming the file.
+One parser reads a header into a :class:`NiftiHeader`; ``read_nifti_header``
+stops there, and ``read_nifti`` goes on to read its payload from the same file.
 """
 
 import gzip
 import math
 import os
-import tempfile
-import threading
 import zlib
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,17 +121,38 @@ class _GzipContentOnly(gzip.GzipFile):
             self._raw.close()
 
 
+@contextmanager
 def _open(path, mode):
-    if str(path).endswith(".gz"):
-        return _GzipContentOnly(path, mode)
-    return open(path, mode)
+    try:
+        with _GzipContentOnly(path, mode) if str(path).endswith(".gz") else open(path, mode) as f:
+            yield f
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise NiftiFormatError(f"{path}: corrupt gzip stream: {exc}") from exc
 
 
 # deflate expands at most 1032:1, which bounds what a .nii.gz can hold
 _DEFLATE_MAX_RATIO = 1032
 
 
-def _read_header_and_payload(f, path):
+@dataclass(frozen=True)
+class NiftiHeader:
+    """What a NIfTI-1 header says about its image and what reading its payload takes."""
+
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float]  # mm
+    channels: int
+    dtype: np.dtype  # the stored dtype, in the file's byte order
+    offset: int  # of the payload, in the (decompressed) stream
+    payload_bytes: int
+    slope: float  # scl_slope and scl_inter, a non-finite value read as 0
+    inter: float
+
+    @property
+    def grid(self):  # as volume.same_grid compares it
+        return self.dims, self.spacing
+
+
+def _parse_header(f, path) -> NiftiHeader:
     raw = f.read(_HEADER.itemsize)
     if len(raw) < _HEADER.itemsize:
         raise IOError(f"{path}: file shorter than a NIfTI-1 header")
@@ -180,11 +203,14 @@ def _read_header_and_payload(f, path):
     if offset + n_bytes > capacity:
         raise IOError(f"{path}: truncated payload, header needs {offset + n_bytes} bytes, "
                       f"the file holds at most {capacity}")
-    f.seek(offset)
-    payload = f.read(n_bytes)
-    if len(payload) < n_bytes:
-        raise IOError(f"{path}: truncated payload, expected {n_bytes} bytes, got {len(payload)}")
-    return hdr, dtype, channels, dims, spacing, payload
+    slope, inter = (v if math.isfinite(v) else 0.0 for v in map(float, (hdr["scl_slope"], hdr["scl_inter"])))
+    return NiftiHeader(dims, spacing, channels, dtype, offset, n_bytes, slope, inter)
+
+
+def read_nifti_header(path) -> NiftiHeader:
+    """A NIfTI-1 file's header, refused as ``read_nifti`` refuses it, without reading the payload."""
+    with _open(path, "rb") as f:
+        return _parse_header(f, path)
 
 
 def read_nifti(path, as_mask: bool = False):
@@ -198,29 +224,29 @@ def read_nifti(path, as_mask: bool = False):
     A malformed file raises :class:`NiftiFormatError`,
     :class:`NiftiUnsupportedError` or ``IOError`` naming ``path``.
     """
-    try:
-        with _open(path, "rb") as f:
-            hdr, dtype, channels, dims, spacing, payload = _read_header_and_payload(f, path)
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise NiftiFormatError(f"{path}: corrupt gzip stream: {exc}") from exc
+    with _open(path, "rb") as f:
+        header = _parse_header(f, path)
+        f.seek(header.offset)
+        payload = f.read(header.payload_bytes)
+    if len(payload) < header.payload_bytes:
+        raise IOError(f"{path}: truncated payload, expected {header.payload_bytes} bytes, got {len(payload)}")
 
     # disk order is x-fastest; bring to (C, X, Y, Z)
-    arr = np.frombuffer(payload, dtype=dtype).reshape((channels,) + dims[::-1])
+    arr = np.frombuffer(payload, dtype=header.dtype).reshape((header.channels,) + header.dims[::-1])
     arr = np.ascontiguousarray(arr.transpose(0, 3, 2, 1))
 
-    slope, inter = (v if math.isfinite(v) else 0.0 for v in map(float, (hdr["scl_slope"], hdr["scl_inter"])))
-    if slope != 0.0 and (slope, inter) != (1.0, 0.0):
-        arr = arr * slope + inter
+    if header.slope != 0.0 and (header.slope, header.inter) != (1.0, 0.0):
+        arr = arr * header.slope + header.inter
 
     if as_mask:
-        if channels != 1:
-            raise NiftiFormatError(f"{path}: cannot load a {channels}-channel image as a mask")
+        if header.channels != 1:
+            raise NiftiFormatError(f"{path}: cannot load a {header.channels}-channel image as a mask")
         try:
-            return LabelMask(arr[0], spacing)
+            return LabelMask(arr[0], header.spacing)
         except ValueError as exc:
             raise NiftiFormatError(f"{path}: {exc}") from exc
 
-    return Volume3D(np.ascontiguousarray(arr, dtype=np.float32), spacing)
+    return Volume3D(np.ascontiguousarray(arr, dtype=np.float32), header.spacing)
 
 
 def write_nifti(obj, path) -> None:
@@ -266,31 +292,18 @@ def write_nifti(obj, path) -> None:
         f.write(payload)
 
 
-# os.umask can only be read by setting it; the lock keeps two concurrent
-# writes from restoring each other's temporary zero.
-_UMASK_LOCK = threading.Lock()
-
-
-def _umask() -> int:
-    with _UMASK_LOCK:
-        mask = os.umask(0)
-        os.umask(mask)
-    return mask
-
-
 def atomic_write_nifti(obj, path) -> None:
     """write_nifti via a unique temp file + rename, so failures leave no partial output.
 
     The temp file sits in the target directory and keeps the target's
-    suffix (so a ``.gz`` target is still compressed); concurrent writes to
-    one path each rename a complete file, and the last rename wins.
+    suffix (so a ``.gz`` target is still compressed) and a plain open()'s
+    mode; concurrent writes to one path each rename a complete file, and the
+    last rename wins.
     """
     head, tail = os.path.split(str(path))
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", suffix=f"-{tail}", dir=head or ".")
-    os.close(fd)
+    tmp = os.path.join(head, f".tmp-{os.urandom(8).hex()}-{tail}")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        # mkstemp creates 0600; give the file the mode a plain open() would
-        os.chmod(tmp, 0o666 & ~_umask())
         write_nifti(obj, tmp)
         os.replace(tmp, path)
     finally:

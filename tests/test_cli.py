@@ -31,6 +31,11 @@ def write_config(tmp_path, lines, name="run.cfg"):
     return str(path)
 
 
+def no_payload_read(path, as_mask=False):
+    """Stands in for ``cli.read_nifti`` where every input must be refused on its header."""
+    pytest.fail(f"{path}: payload read before every header was checked")
+
+
 def toy_weights(tmp_path, seed=0, in_channels=1, name="toy.vskw"):
     cfg = NetworkConfig(in_channels=in_channels, base_width=2, num_stages=2, kernel_plan=(3, 3))
     path = tmp_path / name
@@ -427,18 +432,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"error: {stage}: " in err and "Traceback" not in err
 
-    def test_prediction_on_another_spacing_is_read_input_error(self, tmp_path, capsys):
-        # equal dims at half the truth's spacing: another grid, whatever the labels say
+    def test_prediction_on_another_spacing_is_read_input_error(self, tmp_path, capsys, monkeypatch):
+        # equal dims at half the truth's spacing: another grid, whatever the labels say. The
+        # third of three pairs is refused on the headers, before any pair's payload is read
         rng = np.random.default_rng(6)
-        truth_dir, masks = self.write_masks(tmp_path, rng, ["a.nii"], "truth")
+        names = ["a.nii", "b.nii", "c.nii"]
+        truth_dir, masks = self.write_masks(tmp_path, rng, names, "truth")
         pred_dir = tmp_path / "pred"
         pred_dir.mkdir()
-        write_nifti(LabelMask(masks["a.nii"].labels, (0.5, 0.5, 0.5)), pred_dir / "a.nii")
+        for name in names:
+            write_nifti(LabelMask(masks[name].labels, (0.5, 0.5, 0.5) if name == "c.nii" else (1, 1, 1)),
+                        pred_dir / name)
         csv_out = tmp_path / "report.csv"
+        monkeypatch.setattr(cli, "read_nifti", no_payload_read)
         assert main(["evaluate", str(truth_dir), str(pred_dir), "--csv", str(csv_out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: read-input: ")
-        assert str(pred_dir / "a.nii") in err and str(truth_dir / "a.nii") in err
+        assert err == (f"error: read-input: {pred_dir / 'c.nii'} has grid 6x6x6 at 0.5x0.5x0.5 mm but "
+                       f"{truth_dir / 'c.nii'} has 6x6x6 at 1x1x1 mm; register the inputs to one grid first\n")
         assert not csv_out.exists()
 
     def test_truncated_gzip_mask_is_data_error(self, tmp_path, capsys):
@@ -610,9 +620,7 @@ class TestInfer:
         assert code == 0
         assert read_nifti(out, as_mask=True).dims == (8, 8, 8)
 
-    @pytest.mark.parametrize("odd", [1, 3])
-    def test_task2_inputs_off_the_first_grid_are_read_input_error(self, tmp_path, capsys, odd):
-        # at 0.95 mm the odd input still resamples to 8^3 on the 1 mm working grid
+    def task2_inputs(self, tmp_path):
         rng = np.random.default_rng(6)
         paths = [self.toy_volume(tmp_path, seed=6, name="mid.nii.gz"),
                  self.toy_volume(tmp_path, seed=7, name="pre.nii.gz")]
@@ -620,15 +628,63 @@ class TestInfer:
             mask = LabelMask(rng.integers(0, 2, size=(8, 8, 8)).astype(np.uint8), (1, 1, 1))
             write_nifti(mask, tmp_path / name)
             paths.append(str(tmp_path / name))
-        shifted = read_nifti(paths[odd], as_mask=odd == 3)
+        return paths
+
+    @staticmethod
+    def shift(path, as_mask):
+        # at 0.95 mm the input still resamples to 8^3 on the 1 mm working grid
+        shifted = read_nifti(path, as_mask=as_mask)
         shifted.spacing = (0.95, 1.0, 1.0)
-        write_nifti(shifted, paths[odd])
+        write_nifti(shifted, path)
+
+    @pytest.mark.parametrize("odd", [1, 3])
+    def test_task2_inputs_off_the_first_grid_are_read_input_error(self, tmp_path, capsys, monkeypatch, odd):
+        # refused on the headers: no payload is read, the first input's included
+        paths = self.task2_inputs(tmp_path)
+        self.shift(paths[odd], as_mask=odd == 3)
+        out = tmp_path / "labels.nii.gz"
+        monkeypatch.setattr(cli, "read_nifti", no_payload_read)
+        code = main(["infer", "--task", "task2", "--config", self.toy_config(tmp_path),
+                     "--weights", toy_weights(tmp_path, in_channels=4), "--output", str(out)] + paths)
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: read-input: {paths[odd]} has grid 8x8x8 at 0.95x1x1 mm but "
+                                           f"{paths[0]} has 8x8x8 at 1x1x1 mm; register the inputs to one grid first\n")
+        assert not out.exists()
+
+    def test_task2_input_replaced_after_its_header_was_checked_is_read_input_error(self, tmp_path, capsys,
+                                                                                    monkeypatch):
+        # the last input passes the header checks, then is rewritten off the grid before its payload is
+        # read; it must be refused, not resampled as if it had the first input's spacing
+        paths = self.task2_inputs(tmp_path)
+
+        def read_then_shift(path, as_mask=False):
+            image = read_nifti(path, as_mask=as_mask)
+            if path == paths[0]:
+                self.shift(paths[3], as_mask=True)
+            return image
+
+        monkeypatch.setattr(cli, "read_nifti", read_then_shift)
         out = tmp_path / "labels.nii.gz"
         code = main(["infer", "--task", "task2", "--config", self.toy_config(tmp_path),
                      "--weights", toy_weights(tmp_path, in_channels=4), "--output", str(out)] + paths)
         assert code == 2
+        assert capsys.readouterr().err == (f"error: read-input: {paths[3]} has grid 8x8x8 at 0.95x1x1 mm but "
+                                           f"{paths[0]} has 8x8x8 at 1x1x1 mm; register the inputs to one grid first\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, multi", [("task1", 0), ("task2", 2)])
+    def test_input_with_two_channels_is_refused_on_its_header(self, tmp_path, capsys, monkeypatch, task, multi):
+        paths = self.task2_inputs(tmp_path)[:1 if task == "task1" else 4]
+        two = np.random.default_rng(9).integers(0, 2, size=(2, 8, 8, 8)).astype(np.float32)
+        write_nifti(Volume3D(two, (1.0, 1.0, 1.0)), paths[multi])
+        out = tmp_path / "labels.nii.gz"
+        monkeypatch.setattr(cli, "read_nifti", no_payload_read)
+        code = main(["infer", "--task", task, "--config", self.toy_config(tmp_path),
+                     "--weights", toy_weights(tmp_path, in_channels=4 if task == "task2" else 1),
+                     "--output", str(out)] + paths)
+        assert code == 2
         err = capsys.readouterr().err
-        assert "read-input" in err and paths[odd] in err and paths[0] in err and "0.95" in err
+        assert err == f"error: read-input: {paths[multi]}: expected a single-channel input, got 2 channels\n"
         assert not out.exists()
 
     def test_task2_input_with_other_dims_is_read_input_error(self, tmp_path, capsys):
@@ -836,12 +892,13 @@ class TestAugmentPreview:
         assert capsys.readouterr().err == f"error: --iter: iteration {iteration} outside [0, 100000]\n"
         assert not out_dir.exists()
 
-    def test_volume_and_mask_on_other_spacings_are_read_input_error(self, tmp_path, capsys):
+    def test_volume_and_mask_on_other_spacings_are_read_input_error(self, tmp_path, capsys, monkeypatch):
         vol, mask = self.inputs(tmp_path)
-        coarse = read_nifti(vol)
+        coarse = read_nifti(mask, as_mask=True)
         coarse.spacing = (2.0, 2.0, 2.0)
-        write_nifti(coarse, vol)
+        write_nifti(coarse, mask)
         out_dir = tmp_path / "preview"
+        monkeypatch.setattr(cli, "read_nifti", no_payload_read)  # refused on the headers
         assert main(["augment-preview", "--volume", vol, "--mask", mask, "--out-dir", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: read-input: ") and vol in err and mask in err

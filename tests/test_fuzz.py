@@ -21,6 +21,7 @@ from volseg.nifti import (  # noqa: E402
     NiftiUnsupportedError,
     _open,
     read_nifti,
+    read_nifti_header,
     write_nifti,
 )
 from volseg.volume import LabelMask, Volume3D  # noqa: E402
@@ -61,16 +62,25 @@ def damage(draw, raw):
     return bytes(out)
 
 
+# each reader with the bytes it is given: a volume, a mask, and a volume's header alone
+READERS = {
+    "volume": (False, read_nifti),
+    "mask": (True, lambda path: read_nifti(path, as_mask=True)),
+    "header": (False, read_nifti_header),
+}
+
+
 @pytest.mark.parametrize("name", ["scan.nii", "scan.nii.gz"])
-@pytest.mark.parametrize("as_mask", [False, True], ids=["volume", "mask"])
+@pytest.mark.parametrize("reader", list(READERS))
 @FUZZ
 @given(data=st.data())
-def test_damaged_nifti_raises_only_format_errors(tmp_path, name, as_mask, data):
+def test_damaged_nifti_raises_only_format_errors(tmp_path, name, reader, data):
+    as_mask, read = READERS[reader]
     raw = _nifti_bytes(tmp_path, name, as_mask)
     path = tmp_path / f"damaged-{name}"
     path.write_bytes(data.draw(damage(raw)))
     try:
-        read_nifti(path, as_mask=as_mask)
+        read(path)
     except NIFTI_ERRORS as exc:
         assert str(path) in str(exc)
 

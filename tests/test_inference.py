@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from volseg import inference
+from volseg import _kernels, inference
 from volseg.inference import (
     SlidingWindowConfig,
     argmax_labels,
@@ -302,7 +302,7 @@ class TestSlidingWindow:
 
     def test_traced_peak_is_num_plus_one_member(self, monkeypatch):
         """tracemalloc peak of a 2-member window: no fold list, float64 tile, kernel or den volume."""
-        monkeypatch.setattr(inference, "_SLAB_BYTES", self.SLAB_BYTES)
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", self.SLAB_BYTES)
         vol = Volume3D(np.random.default_rng(22).normal(size=(1, 48, 32, 32)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=(32, 32, 32), stride=(16, 32, 32))  # 2 tiles
 
@@ -331,7 +331,7 @@ class TestSlidingWindow:
     @pytest.mark.parametrize("dims", [(64, 48, 16), (12, 64, 64)], ids=["short-z", "short-x"])
     def test_traced_peak_of_a_scan_shorter_than_the_patch_holds_no_padded_grid(self, monkeypatch, dims):
         """tracemalloc peak of a 2-member window whose tiles overhang the scan: num on the scan's own grid."""
-        monkeypatch.setattr(inference, "_SLAB_BYTES", self.SLAB_BYTES)
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", self.SLAB_BYTES)
         patch = (32, 32, 32)
         vol = Volume3D(np.random.default_rng(25).normal(size=(1, *dims)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=patch, stride=(16, 16, 16))
@@ -366,7 +366,7 @@ class TestSlidingWindow:
         for dims, channels in cases:
             cfg = SlidingWindowConfig(patch_size=(4, 4, 4), stride=(3, 2, 4))
             if planes is not None:
-                monkeypatch.setattr(inference, "_SLAB_BYTES", planes * 8 * dims[1] * dims[2])
+                monkeypatch.setattr(_kernels, "_SLAB_BYTES", planes * 8 * dims[1] * dims[2])
             vol = Volume3D(rng.normal(size=(1, *dims)).astype(np.float32), (1, 1, 1))
             members = [channel_predictor(channels, shift) for shift in (0.0, 0.5)]
             out = sliding_window_predict(vol, members, cfg)
@@ -388,7 +388,7 @@ class TestSlidingWindow:
 
     def test_window_and_argmax_hold_no_float32_probability_volume(self, monkeypatch):
         """tracemalloc peak of a 2-member window plus argmax on a volume 6x3 tiles wide."""
-        monkeypatch.setattr(inference, "_SLAB_BYTES", 64 << 10)
+        monkeypatch.setattr(_kernels, "_SLAB_BYTES", 64 << 10)
         dims, patch = (192, 96, 16), (32, 32, 16)
         vol = Volume3D(np.random.default_rng(24).normal(size=(1, *dims)).astype(np.float32), (1, 1, 1))
         cfg = SlidingWindowConfig(patch_size=patch, stride=patch)
@@ -471,7 +471,7 @@ class TestEnsembleAndArgmax:
         results = []
         # one, two and all seven X planes of the float64 products (3 channels) and weights
         for slab_bytes in (1, 8 * 4 * 5 * 3 * 2, 1 << 20):
-            monkeypatch.setattr(inference, "_SLAB_BYTES", slab_bytes)
+            monkeypatch.setattr(_kernels, "_SLAB_BYTES", slab_bytes)
             num = np.ones((3, 9, 6, 3))
             assert ensemble_predict(probs, kernel, num[:, 1:8, 1:]) is not None
             results.append(num)

@@ -12,8 +12,10 @@ from volseg.nifti import (
     GZIP_LEVEL,
     NiftiFormatError,
     NiftiUnsupportedError,
+    NiftiHeader,
     atomic_write_nifti,
     read_nifti,
+    read_nifti_header,
     write_nifti,
 )
 from volseg.volume import LabelMask, Volume3D
@@ -153,6 +155,17 @@ class TestAtomicWrite:
         assert modes[0] == modes[1]
         assert (tmp_path / "atomic.nii.gz").read_bytes() == (tmp_path / "plain.nii.gz").read_bytes()
 
+    def test_writes_without_touching_the_process_umask(self, tmp_path, monkeypatch):
+        # setting the umask, even for a moment, would give files other threads create then mode 0666
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        mask = self.masks()[0]
+        monkeypatch.setattr(os, "umask", no_umask)
+        atomic_write_nifti(mask, tmp_path / "labels.nii.gz")
+        assert os.listdir(tmp_path) == ["labels.nii.gz"]
+        assert np.array_equal(read_nifti(tmp_path / "labels.nii.gz", as_mask=True).labels, mask.labels)
+
 
 class TestHeaderFields:
     def test_pixdim_becomes_spacing(self, tmp_path):
@@ -220,6 +233,25 @@ class TestHeaderFields:
         patch_header(path, scl_slope=np.inf, scl_inter=1.0)
         assert np.array_equal(read_nifti(path, as_mask=True).labels, data)
 
+    @pytest.mark.parametrize("name", ["scan.nii", "scan.nii.gz"])
+    def test_header_record_describes_what_read_nifti_reads(self, tmp_path, name):
+        vol = make_volume(np.random.default_rng(10), dims=(5, 4, 3), channels=2, spacing=(0.5, 1.0, 2.5))
+        path = tmp_path / name
+        write_nifti(vol, path)
+        header = read_nifti_header(path)
+        assert header == NiftiHeader(dims=(5, 4, 3), spacing=(0.5, 1.0, 2.5), channels=2,
+                                     dtype=np.dtype(np.float32), offset=352, payload_bytes=2 * 5 * 4 * 3 * 4,
+                                     slope=1.0, inter=0.0)
+        back = read_nifti(path)
+        assert header.grid == ((5, 4, 3), (0.5, 1.0, 2.5)) == (back.dims, back.spacing)
+
+    def test_header_reads_non_finite_scaling_as_zero(self, tmp_path):
+        path = tmp_path / "nan_scaling.nii"
+        write_raw(path, 4, np.int16, (2, 2, 2), np.arange(8).reshape(2, 2, 2))
+        patch_header(path, scl_slope=np.nan, scl_inter=np.inf)
+        header = read_nifti_header(path)
+        assert (header.slope, header.inter) == (0.0, 0.0)
+
     def test_non_finite_intercept_reads_as_zero(self, tmp_path):
         data = np.arange(8).reshape(2, 2, 2)
         path = tmp_path / "nan_inter.nii"
@@ -251,6 +283,20 @@ class TestErrors:
         path.write_bytes(raw[:cut])
         with pytest.raises(IOError, match="truncated"):
             read_nifti(path)
+
+    @pytest.mark.parametrize("damage", ["gzip magic", "deflate block"])
+    @pytest.mark.parametrize("read", [read_nifti, read_nifti_header], ids=["read_nifti", "read_nifti_header"])
+    def test_corrupt_gzip_stream_is_format_error(self, tmp_path, damage, read):
+        path = tmp_path / "scan.nii.gz"
+        write_nifti(make_volume(np.random.default_rng(11)), path)
+        raw = bytearray(path.read_bytes())
+        # byte 1 is the second gzip magic byte; byte 10 starts the deflate stream, and 0xFF
+        # there is a final block of the reserved type
+        raw[1 if damage == "gzip magic" else 10] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiFormatError, match="corrupt gzip stream") as info:
+            read(path)
+        assert str(path) in str(info.value)
 
     def test_truncated_header_is_io_error(self, tmp_path):
         path = tmp_path / "tiny.nii"
