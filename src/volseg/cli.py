@@ -28,7 +28,7 @@ from .augmentation import AugmentationPolicy, TransformParams, apply_augmentatio
 from .inference import SlidingWindowConfig, argmax_labels, ensemble_predict, sliding_window_predict  # noqa: F401
 from .metrics import CLASS_NAMES, evaluate_set
 from .network import NetworkConfig, forward, layer_plan, load_weights
-from .nifti import atomic_write_nifti, read_nifti, read_nifti_header
+from .nifti import read_nifti, read_nifti_header, write_nifti
 from .sampling import PatchSample
 from .volume import (LabelMask, Volume3D, _check_spacing, _output_dims, resample_linear, resample_nearest,
                      restore_resolution, same_grid)
@@ -291,7 +291,7 @@ def cmd_infer(cfg: RunConfig, input_paths, output_path) -> int:
         labels = restore_resolution(labels, *grid)
 
         stage.name = "write-output"
-        atomic_write_nifti(labels, output_path)
+        write_nifti(labels, output_path)
     print(f"wrote {output_path}")
     return 0
 
@@ -391,8 +391,8 @@ def cmd_augment_preview(cfg: RunConfig, volume_path, mask_path, iteration, out_d
 
         stage.name = "write-output"
         os.makedirs(out_dir, exist_ok=True)
-        atomic_write_nifti(Volume3D(result.data, vol.spacing), os.path.join(out_dir, "augmented_volume.nii.gz"))
-        atomic_write_nifti(LabelMask(result.mask_patch, mask.spacing), os.path.join(out_dir, "augmented_mask.nii.gz"))
+        write_nifti(Volume3D(result.data, vol.spacing), os.path.join(out_dir, "augmented_volume.nii.gz"))
+        write_nifti(LabelMask(result.mask_patch, mask.spacing), os.path.join(out_dir, "augmented_mask.nii.gz"))
         log_path = os.path.join(out_dir, "augment_log.txt")
         with open(log_path, "w") as f:
             mode = "constant baseline" if cfg.policy.constant_p is not None else "scheduled"

@@ -13,6 +13,9 @@ infinite slope or intercept reads as 0. :class:`LabelMask` checks mask
 labels on the stored dtype; a mask read reports its error naming the file.
 One parser reads a header into a :class:`NiftiHeader`; ``read_nifti_header``
 stops there, and ``read_nifti`` goes on to read its payload from the same file.
+``write_nifti`` is the one writer: it renames a complete temp file over the
+path a symlink resolves to, so no failed or concurrent write leaves a partial
+file, and it refuses a target that is not a regular file.
 """
 
 import gzip
@@ -106,26 +109,16 @@ _MM_PER_UNIT = {0: 1.0, 1: 1000.0, 2: 1.0, 3: 0.001}
 GZIP_LEVEL = 6
 
 
-class _GzipContentOnly(gzip.GzipFile):
-    """GzipFile whose output depends only on content (no filename, mtime 0)."""
-
-    def __init__(self, path, mode):
-        self._raw = open(path, mode)
-        super().__init__(filename="", fileobj=self._raw, mode=mode,
-                         compresslevel=GZIP_LEVEL, mtime=0)
-
-    def close(self):
-        try:
-            super().close()
-        finally:
-            self._raw.close()
-
-
 @contextmanager
 def _open(path, mode):
     try:
-        with _GzipContentOnly(path, mode) if str(path).endswith(".gz") else open(path, mode) as f:
-            yield f
+        with open(path, mode) as raw:
+            if str(path).endswith(".gz"):
+                # no file name and mtime 0, so the bytes depend only on the content
+                with gzip.GzipFile(filename="", fileobj=raw, mode=mode, compresslevel=GZIP_LEVEL, mtime=0) as f:
+                    yield f
+            else:
+                yield raw
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise NiftiFormatError(f"{path}: corrupt gzip stream: {exc}") from exc
 
@@ -250,7 +243,17 @@ def read_nifti(path, as_mask: bool = False):
 
 
 def write_nifti(obj, path) -> None:
-    """Write a Volume3D (float32) or LabelMask (uint8) as NIfTI-1."""
+    """Write a Volume3D (float32) or LabelMask (uint8) as NIfTI-1, atomically.
+
+    The file is written to a unique temp file beside ``os.path.realpath(path)``
+    and renamed over it, so a symlink is written through and stays a link, a
+    failed write leaves neither a partial file nor the temp file, and of
+    concurrent writes to one path the last rename wins with a complete file.
+    The temp file is created exclusively with mode 0o666, so the umask applies
+    as it does to a plain ``open()``. A ``.gz`` path is gzip-compressed. A
+    target that exists and is not a regular file (a FIFO, a device or a
+    directory) raises ``IOError`` naming ``path`` before anything is written.
+    """
     if isinstance(obj, LabelMask):
         data = obj.labels[None].astype(np.uint8)
         code = _UINT8_CODE
@@ -286,26 +289,19 @@ def write_nifti(obj, path) -> None:
     hdr["magic"] = b"n+1"
 
     payload = data.transpose(0, 3, 2, 1).tobytes()
-    with _open(path, "wb") as f:
-        f.write(hdr.tobytes())
-        f.write(b"\x00" * 4)  # pad header to vox_offset 352
-        f.write(payload)
-
-
-def atomic_write_nifti(obj, path) -> None:
-    """write_nifti via a unique temp file + rename, so failures leave no partial output.
-
-    The temp file sits in the target directory and keeps the target's
-    suffix (so a ``.gz`` target is still compressed) and a plain open()'s
-    mode; concurrent writes to one path each rename a complete file, and the
-    last rename wins.
-    """
-    head, tail = os.path.split(str(path))
-    tmp = os.path.join(head, f".tmp-{os.urandom(8).hex()}-{tail}")
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise IOError(f"{path}: not a regular file, refusing to replace it")
+    # the temp name's length does not grow with the target's, so a long target name still fits
+    suffix = ".gz" if str(path).endswith(".gz") else ""
+    tmp = os.path.join(os.path.dirname(target), f".tmp-{os.urandom(8).hex()}{suffix}")
     os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        write_nifti(obj, tmp)
-        os.replace(tmp, path)
+        with _open(tmp, "wb") as f:
+            f.write(hdr.tobytes())
+            f.write(b"\x00" * 4)  # pad header to vox_offset 352
+            f.write(payload)
+        os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -791,6 +792,43 @@ class TestInfer:
         assert code == 2
         assert "load-weights" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_symlinked_output_is_written_through(self, tmp_path):
+        scan, cfg, weights = self.toy_volume(tmp_path), self.toy_config(tmp_path), toy_weights(tmp_path)
+        target = tmp_path / "target.nii.gz"
+        target.write_bytes(b"old labels")
+        link = tmp_path / "link.nii.gz"
+        link.symlink_to(target)
+        assert main(["infer", "--config", cfg, "--weights", weights, "--output", str(link), scan]) == 0
+        assert main(["infer", "--config", cfg, "--weights", weights,
+                     "--output", str(tmp_path / "direct.nii.gz"), scan]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "direct.nii.gz").read_bytes()
+
+    def test_fifo_output_is_write_output_error(self, tmp_path, capsys):
+        scan = self.toy_volume(tmp_path)
+        out = tmp_path / "labels.nii.gz"
+        os.mkfifo(out)
+        # an open read end, so a writer that opens the FIFO does not block waiting for one
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code = main(["infer", "--config", self.toy_config(tmp_path),
+                         "--weights", toy_weights(tmp_path), "--output", str(out), scan])
+            assert os.read(reader, 1) == b""
+        finally:
+            os.close(reader)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: write-output: ") and str(out) in err
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["labels.nii.gz", "run.cfg", "scan.nii.gz", "toy.vskw"]
+
+    def test_output_name_of_250_bytes_is_written(self, tmp_path):
+        scan = self.toy_volume(tmp_path)
+        out = tmp_path / ("x" * (250 - len(".nii.gz")) + ".nii.gz")
+        assert main(["infer", "--config", self.toy_config(tmp_path),
+                     "--weights", toy_weights(tmp_path), "--output", str(out), scan]) == 0
+        assert read_nifti(out, as_mask=True).dims == (8, 8, 8)
 
     def test_non_finite_weights_are_load_weights_error(self, tmp_path, capsys):
         scan = self.toy_volume(tmp_path)

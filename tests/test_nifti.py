@@ -1,3 +1,4 @@
+import gzip
 import os
 import stat
 import sys
@@ -13,7 +14,6 @@ from volseg.nifti import (
     NiftiFormatError,
     NiftiUnsupportedError,
     NiftiHeader,
-    atomic_write_nifti,
     read_nifti,
     read_nifti_header,
     write_nifti,
@@ -121,7 +121,7 @@ class TestAtomicWrite:
         def writer(mask):
             try:
                 for _ in range(20):
-                    atomic_write_nifti(mask, path)
+                    write_nifti(mask, path)
             except Exception as exc:  # surfaced below; a thread cannot fail the test
                 errors.append(exc)
 
@@ -144,13 +144,17 @@ class TestAtomicWrite:
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         with pytest.raises(TypeError):
-            atomic_write_nifti(np.zeros((2, 2, 2), np.uint8), tmp_path / "x.nii.gz")
+            write_nifti(np.zeros((2, 2, 2), np.uint8), tmp_path / "x.nii.gz")
         assert os.listdir(tmp_path) == []
 
     def test_mode_matches_a_plain_write(self, tmp_path):
         mask = self.masks()[0]
-        write_nifti(mask, tmp_path / "plain.nii.gz")
-        atomic_write_nifti(mask, tmp_path / "atomic.nii.gz")
+        write_nifti(mask, tmp_path / "atomic.nii.gz")
+        write_nifti(mask, tmp_path / "raw.nii")
+        # a plain open() in the same directory, gzipped as the format fixes it
+        with open(tmp_path / "plain.nii.gz", "wb") as f, \
+                gzip.GzipFile(filename="", fileobj=f, mode="wb", compresslevel=GZIP_LEVEL, mtime=0) as gz:
+            gz.write((tmp_path / "raw.nii").read_bytes())
         modes = [stat.S_IMODE(os.stat(tmp_path / n).st_mode) for n in ("plain.nii.gz", "atomic.nii.gz")]
         assert modes[0] == modes[1]
         assert (tmp_path / "atomic.nii.gz").read_bytes() == (tmp_path / "plain.nii.gz").read_bytes()
@@ -162,9 +166,49 @@ class TestAtomicWrite:
 
         mask = self.masks()[0]
         monkeypatch.setattr(os, "umask", no_umask)
-        atomic_write_nifti(mask, tmp_path / "labels.nii.gz")
+        write_nifti(mask, tmp_path / "labels.nii.gz")
         assert os.listdir(tmp_path) == ["labels.nii.gz"]
         assert np.array_equal(read_nifti(tmp_path / "labels.nii.gz", as_mask=True).labels, mask.labels)
+
+
+    def test_symlink_is_written_through(self, tmp_path):
+        old, new = self.masks()
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "labels.nii.gz"
+        write_nifti(old, target)
+        link = tmp_path / "link.nii.gz"
+        link.symlink_to(target)
+        write_nifti(new, link)
+        write_nifti(new, tmp_path / "direct.nii.gz")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "direct.nii.gz").read_bytes()
+        assert os.listdir(tmp_path / "data") == ["labels.nii.gz"]
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_target_that_is_not_a_regular_file_is_refused(self, tmp_path, kind):
+        path = tmp_path / "labels.nii.gz"
+        if kind == "fifo":
+            os.mkfifo(path)
+            # an open read end, so a writer that opens the FIFO does not block waiting for one
+            reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        else:
+            path.mkdir()
+        try:
+            with pytest.raises(IOError, match="not a regular file") as info:
+                write_nifti(self.masks()[0], path)
+            assert str(path) in str(info.value)
+        finally:
+            if kind == "fifo":
+                os.close(reader)
+        assert os.listdir(tmp_path) == ["labels.nii.gz"]
+        assert (stat.S_ISFIFO if kind == "fifo" else stat.S_ISDIR)(os.lstat(path).st_mode)
+
+    def test_temp_name_fits_a_long_target_name(self, tmp_path):
+        name = "x" * (250 - len(".nii.gz")) + ".nii.gz"
+        mask = self.masks()[0]
+        write_nifti(mask, tmp_path / name)
+        assert os.listdir(tmp_path) == [name]
+        assert np.array_equal(read_nifti(tmp_path / name, as_mask=True).labels, mask.labels)
 
 
 class TestHeaderFields:
