@@ -4,7 +4,8 @@ Configuration comes from an optional flat key-value file (one dotted key
 per line, ``inference.stride = 80,80,16``), then from flags: file values
 are applied first, then flags, and an empty value means the key's default.
 Each config flag's argparse dest is its dotted key in ``_KEYS``:
-``--task`` task, ``--seed`` seed, ``--weights`` weights, ``--kernel-plan``
+``--task`` task, ``--seed`` seed (augment-preview only; the key stays
+valid in any command's file), ``--weights`` weights, ``--kernel-plan``
 network.kernel_plan, ``--base-width`` network.base_width, ``--weighting``
 inference.weighting, ``--constant-p`` augmentation.constant_p, ``--total``
 augmentation.total_iters. The task sets what no key sets: task1 has 1
@@ -26,12 +27,12 @@ import numpy as np
 from .augmentation import AugmentationPolicy, TransformParams, apply_augmentations, scheduled_probability
 # ensemble_predict runs inside the window; it stays importable from here by name
 from .inference import SlidingWindowConfig, argmax_labels, ensemble_predict, sliding_window_predict  # noqa: F401
-from .metrics import CLASS_NAMES, evaluate_set
+from .metrics import evaluate_set
 from .network import NetworkConfig, forward, layer_plan, load_weights
 from .nifti import read_nifti, read_nifti_header, write_nifti
 from .sampling import PatchSample
-from .volume import (LabelMask, Volume3D, _check_spacing, _output_dims, resample_linear, resample_nearest,
-                     restore_resolution, same_grid)
+from .volume import (CLASS_NAMES, LabelMask, Volume3D, _check_spacing, _output_dims, resample_linear,
+                     resample_nearest, restore_resolution, same_grid)
 
 N_FOLDS = 5
 TASK2_EXEMPT_CHANNELS = frozenset((2, 3))
@@ -300,24 +301,34 @@ def _fmt(value) -> str:
     return "" if value is None or (isinstance(value, float) and math.isnan(value)) else f"{value:.6f}"
 
 
+def _cases(directory) -> dict[str, str]:
+    """Patient id -> path of each NIfTI file in ``directory``, in file-name order. The id is
+    the file name without its final ``.nii`` or ``.nii.gz``; two files of one id are refused."""
+    cases = {}
+    for name in sorted(os.listdir(directory)):
+        pid = re.sub(r"\.nii(\.gz)?\Z", "", name)
+        if pid == name:
+            continue  # not a NIfTI file
+        path = os.path.join(directory, name)
+        if pid in cases:
+            raise ValueError(f"{cases[pid]} and {path} both hold patient id {pid!r}")
+        cases[pid] = path
+    return cases
+
+
 def cmd_evaluate(truth_dir, pred_dir, csv_path=None, out=None) -> int:
     out = out or sys.stdout
-
-    def nifti_files(d):
-        return {f: os.path.join(d, f) for f in sorted(os.listdir(d))
-                if f.endswith(".nii") or f.endswith(".nii.gz")}
-
     with _Stage("read-input") as stage:
-        truth_files = nifti_files(truth_dir)
-        pred_files = nifti_files(pred_dir)
-        common = sorted(set(truth_files) & set(pred_files))
-        for name in sorted(set(truth_files) ^ set(pred_files)):
-            side = "prediction" if name in truth_files else "ground truth"
+        truth_files, pred_files = _cases(truth_dir), _cases(pred_dir)
+        for pid in sorted(set(truth_files) ^ set(pred_files)):
+            side = "prediction" if pid in truth_files else "ground truth"
+            name = os.path.basename(truth_files.get(pid) or pred_files[pid])
             print(f"warning: {name} has no matching {side} file, skipped", file=sys.stderr)
-        if not common:
+        ids = [pid for pid in truth_files if pid in pred_files]
+        if not ids:
             raise ValueError("no matching truth/prediction file pairs")
 
-        pairs = [(truth_files[name], pred_files[name]) for name in common]
+        pairs = [(truth_files[pid], pred_files[pid]) for pid in ids]
         for truth, pred in pairs:
             _require_grid(pred, read_nifti_header(pred).grid, truth, read_nifti_header(truth).grid)
         truths, preds = [], []
@@ -325,14 +336,13 @@ def cmd_evaluate(truth_dir, pred_dir, csv_path=None, out=None) -> int:
             truths.append(read_nifti(truth, as_mask=True))
             preds.append(read_nifti(pred, as_mask=True))
             _require_grid(pred, (preds[-1].dims, preds[-1].spacing), truth, (truths[-1].dims, truths[-1].spacing))
-        ids = [name.split(".nii")[0] for name in common]
 
         stage.name = "evaluate"
         result = evaluate_set(truths, preds, ids=ids)
 
-        gtvp, gtvn = result.per_class_agg[1], result.per_class_agg[2]
-        print(f"{'':12}{'GTVp':>8}{'GTVn':>8}{'Average':>9}", file=out)
-        print(f"{'DSC_agg':12}{gtvp:>8.4f}{gtvn:>8.4f}{result.mean_agg:>9.4f}", file=out)
+        print(f"{'':12}" + "".join(f"{CLASS_NAMES[c]:>8}" for c in result.per_class_agg) + f"{'Average':>9}", file=out)
+        print(f"{'DSC_agg':12}" + "".join(f"{agg:>8.4f}" for agg in result.per_class_agg.values())
+              + f"{result.mean_agg:>9.4f}", file=out)
 
         if csv_path:
             stage.name = "write-output"
@@ -342,8 +352,8 @@ def cmd_evaluate(truth_dir, pred_dir, csv_path=None, out=None) -> int:
                 for rec in result.records:
                     writer.writerow([rec.patient_id, CLASS_NAMES[rec.class_id],
                                      _fmt(rec.dsc), _fmt(rec.precision), _fmt(rec.recall)])
-                writer.writerow(["AGG_GTVp", "GTVp", _fmt(gtvp), "", ""])
-                writer.writerow(["AGG_GTVn", "GTVn", _fmt(gtvn), "", ""])
+                for c, agg in result.per_class_agg.items():
+                    writer.writerow([f"AGG_{CLASS_NAMES[c]}", CLASS_NAMES[c], _fmt(agg), "", ""])
                 writer.writerow(["AGG_MEAN", "", _fmt(result.mean_agg), "", ""])
             print(f"wrote {csv_path}")
     return 0
@@ -422,7 +432,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_args(p):
     p.add_argument("--config", help="flat key-value config file")
     p.add_argument("--task", choices=["task1", "task2"])
-    p.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,6 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iter", type=int, default=0, dest="iteration")
     p.add_argument("--total", dest="augmentation.total_iters", type=int)
     p.add_argument("--constant-p", dest="augmentation.constant_p", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", required=True)
     return parser
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import LabelMask
+from .volume import CLASS_NAMES, LabelMask
 
-CLASS_NAMES = {1: "GTVp", 2: "GTVn"}
-FOREGROUND_CLASSES = (1, 2)
+FOREGROUND_CLASSES = tuple(range(1, len(CLASS_NAMES)))
 
 
 def _check_pair(truth: np.ndarray, pred: np.ndarray):

@@ -6,10 +6,10 @@ with 2x2x2 max pooling in between, doubling the channel width each stage.
 The decoder mirrors it: a 1x1x1 conv block halves the channels, nearest
 2x interpolation doubles the spatial size, the matching encoder stage
 output is concatenated, and the stage's conv blocks follow. A final 1x1x1
-conv plus channel softmax produces the class probabilities. Stage kernel
-sizes come from ``kernel_plan``; with the default plan (3,3,3,3,1,1) the
-1x1x1 kernels in stages 5-6 cut the parameter count from about 86M to
-about 14M.
+conv plus channel softmax gives one probability per ``volume.CLASS_NAMES``
+label. Stage kernel sizes come from ``kernel_plan``; with the default plan
+(3,3,3,3,1,1) the 1x1x1 kernels in stages 5-6 cut the parameter count from
+about 86M to about 14M.
 
 ``layer_plan`` is the one description of this structure: the layers in
 execution order, without parameters, each with the halo it writes (its
@@ -21,7 +21,7 @@ which follows the upsampled features along channels.
 
 Memory order is chosen by kernel size; logical shapes never change. A conv
 with a kernel larger than 1x1x1 reads its input from a ``halo_buffer``: a
-channels-last buffer with a zero border of the kernel's reach. In
+zeroed channels-last buffer with a border of the kernel's reach. In
 ``forward`` the layer that makes the conv's input (a ReLU, max pool or
 upsample) writes it straight into that buffer's interior, so the conv
 copies nothing; called on its own, ``conv3d`` copies its input into a new
@@ -67,6 +67,7 @@ from struct import Struct
 import numpy as np
 
 from ._kernels import center_channels, conv3d_core
+from .volume import CLASS_NAMES
 
 Tensor4D = np.ndarray  # (C, X, Y, Z) float32
 
@@ -84,7 +85,6 @@ class WeightFormatError(ValueError):
 @dataclass
 class NetworkConfig:
     in_channels: int = 1
-    num_classes: int = 3
     base_width: int = 32
     num_stages: int = 6
     kernel_plan: tuple[int, ...] = (3, 3, 3, 3, 1, 1)
@@ -92,8 +92,8 @@ class NetworkConfig:
 
     def __post_init__(self):
         self.kernel_plan = tuple(int(k) for k in self.kernel_plan)
-        if self.in_channels < 1 or self.num_classes < 2 or self.base_width < 1:
-            raise ValueError("in_channels, num_classes and base_width must be positive")
+        if self.in_channels < 1 or self.base_width < 1:
+            raise ValueError("in_channels and base_width must be positive")
         if self.num_stages < 2:
             raise ValueError("need at least 2 stages")
         if len(self.kernel_plan) != self.num_stages:
@@ -178,8 +178,8 @@ def layer_plan(config: NetworkConfig) -> list[Layer]:
         for b in range(config.convs_per_stage):
             block(config.kernel_plan[s - 1], 2 * w if b == 0 else w, w)
         skips.pop().pad = up.pad  # a halved conv reads the skip from a halo too
-    plan.append(Layer("conv", (1, 1, 1), config.base_width, config.num_classes))
-    plan.append(Layer("softmax", cin=config.num_classes, cout=config.num_classes))
+    plan.append(Layer("conv", (1, 1, 1), config.base_width, len(CLASS_NAMES)))
+    plan.append(Layer("softmax", cin=len(CLASS_NAMES), cout=len(CLASS_NAMES)))
     return plan
 
 
@@ -214,19 +214,11 @@ def halo_buffer(c: int, dims, pad) -> tuple[Tensor4D, Tensor4D]:
     """A zero-bordered channels-last buffer for a conv's input, and its interior.
 
     Returns ``(halo, interior)``: ``halo`` has logical shape (c, X + 2px,
-    Y + 2py, Z + 2pz), stored (X', Y', Z', c), and ``interior`` is its
-    (c, X, Y, Z) view inside the border. Only the six border faces are
-    zeroed; the interior is left for the caller to write.
+    Y + 2py, Z + 2pz), stored (X', Y', Z', c), all zeros, and ``interior``
+    is its (c, X, Y, Z) view inside the border.
     """
     (xs, ys, zs), (px, py, pz) = dims, pad
-    buf = np.empty((xs + 2 * px, ys + 2 * py, zs + 2 * pz, c), dtype=np.float32)
-    buf[:px] = 0
-    buf[px + xs:] = 0
-    buf[:, :py] = 0
-    buf[:, py + ys:] = 0
-    buf[:, :, :pz] = 0
-    buf[:, :, pz + zs:] = 0
-    halo = buf.transpose(3, 0, 1, 2)
+    halo = np.zeros((xs + 2 * px, ys + 2 * py, zs + 2 * pz, c), dtype=np.float32).transpose(3, 0, 1, 2)
     return halo, halo[:, px:px + xs, py:py + ys, pz:pz + zs]
 
 
@@ -283,25 +275,22 @@ def _channel_rows(x: Tensor4D):
     return None, None
 
 
-def instance_norm(x: Tensor4D, gamma: np.ndarray, beta: np.ndarray,
-                  eps: float = INSTANCE_NORM_EPS, out: Tensor4D | None = None) -> Tensor4D:
-    """Per-channel standardization over this instance's voxels, with affine.
+def instance_norm(x: Tensor4D, gamma: np.ndarray, beta: np.ndarray, out: Tensor4D | None = None) -> Tensor4D:
+    """Per-channel standardization over this instance's voxels (eps ``INSTANCE_NORM_EPS``), with affine.
 
     ``out`` may be ``x`` itself. The statistics come from
     ``_kernels.center_channels``, which writes the float32 residual into
     ``out``; every pass runs over ``x``'s memory in order, channels-first
     or channels-last, and ``out`` keeps that order.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if out is None:
         out = np.empty_like(x)
     (xm, reps), (om, out_reps) = _channel_rows(x), _channel_rows(out)
     if xm is None or reps != out_reps:
-        out[...] = instance_norm(np.ascontiguousarray(x), gamma, beta, eps)
+        out[...] = instance_norm(np.ascontiguousarray(x), gamma, beta)
         return out
     rmean, var = center_channels(xm, reps, om)
-    inv = gamma / np.sqrt(var + eps)
+    inv = gamma / np.sqrt(var + INSTANCE_NORM_EPS)
     om *= np.tile(inv.astype(np.float32), reps)
     om += np.tile((beta - rmean * inv).astype(np.float32), reps)
     return out
@@ -364,7 +353,7 @@ def _producer_halo(lay: Layer, dims) -> tuple[Tensor4D | None, Tensor4D | None]:
 
 
 def forward(model: Model, x: Tensor4D) -> Tensor4D:
-    """Run the network; returns (num_classes, X, Y, Z) channel probabilities.
+    """Run the network; returns (len(CLASS_NAMES), X, Y, Z) channel probabilities.
 
     Walks ``model.layers`` in order. The ops are looked up in this module's
     namespace at each call, so a wrapper installed on the module sees them.

@@ -211,8 +211,8 @@ def read_nifti(path, as_mask: bool = False):
 
     Args:
         path: .nii or .nii.gz file.
-        as_mask: load a one-channel integer-typed file with values in
-            {0, 1, 2} as a LabelMask instead of a float volume.
+        as_mask: load a one-channel integer-typed file with the labels of
+            ``volume.CLASS_NAMES`` as a LabelMask instead of a float volume.
 
     A malformed file raises :class:`NiftiFormatError`,
     :class:`NiftiUnsupportedError` or ``IOError`` naming ``path``.

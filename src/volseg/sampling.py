@@ -10,7 +10,8 @@ Normalization is z-scoring per channel, centered by the pass instance norm
 uses (``_kernels.center_channels``). The patch-wise variant runs after
 patch extraction so every network input has mean 0 / std 1 regardless of
 patch location; the image-wise variant (whole-volume statistics) is kept
-as the baseline. Channels carrying binary masks are exempt.
+as the baseline. Channels carrying binary masks are exempt. Each
+standard deviation is floored at the fixed ``NORM_EPS``.
 """
 
 from dataclasses import dataclass
@@ -88,27 +89,25 @@ def zero_filled_patch(arr: np.ndarray, offset, size) -> np.ndarray:
     return out
 
 
-def normalize_patchwise(patch: np.ndarray, exempt_channels=frozenset(), eps: float = NORM_EPS) -> np.ndarray:
+def normalize_patchwise(patch: np.ndarray, exempt_channels=frozenset()) -> np.ndarray:
     """Z-score each non-exempt channel over this patch; exempt channels pass through.
 
     Returns a float32 copy; ``patch`` is left unchanged. Each channel is
     centered in place by ``_kernels.center_channels``, then divided by its
-    standard deviation, floored at ``eps``.
+    standard deviation, floored at ``NORM_EPS``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     out = np.array(patch, dtype=np.float32, order="C")
     for c in range(out.shape[0]):
         if c in exempt_channels:
             continue
         ch = out[c].reshape(-1, 1)
         (rmean,), (var,) = center_channels(ch, 1, ch)
-        inv = 1.0 / max(np.sqrt(max(var, 0.0)), eps)
+        inv = 1.0 / max(np.sqrt(max(var, 0.0)), NORM_EPS)
         ch *= np.float32(inv)
         ch -= np.float32(rmean * inv)
     return out
 
 
-def normalize_imagewise(vol: Volume3D, eps: float = NORM_EPS) -> Volume3D:
+def normalize_imagewise(vol: Volume3D) -> Volume3D:
     """Z-score each channel over the whole volume (baseline configuration)."""
-    return Volume3D(normalize_patchwise(vol.data, eps=eps), vol.spacing)
+    return Volume3D(normalize_patchwise(vol.data), vol.spacing)

@@ -1,8 +1,8 @@
 """Volume and label-mask containers plus resampling between voxel grids.
 
 A volume is a channel-first float32 array with a physical voxel spacing in
-millimetres; a label mask is a uint8 array over the classes
-{0: background, 1: GTVp, 2: GTVn}. Resampling maps voxel centers between
+millimetres; a label mask is a uint8 array over the labels of
+``CLASS_NAMES``, the one label set. Resampling maps voxel centers between
 grids: the physical position of index ``i`` is ``(i + 0.5) * spacing``,
 and coordinates are clamped to the valid input domain at the borders.
 Output grids use ``ceil(dim_in * spacing_in / spacing_out)`` voxels per
@@ -25,6 +25,8 @@ import numpy as np
 from ._kernels import trilinear_core
 
 Spacing = tuple[float, float, float]
+# HNTS-MRG's label set: each class's name, indexed by its label
+CLASS_NAMES = ("background", "GTVp", "GTVn")
 # pixdim is float32 in the header, so one spacing written by two tools can
 # differ in its last bits (a relative 6e-8); a real grid mismatch is far larger
 _SPACING_RTOL = 1e-5
@@ -63,7 +65,7 @@ class Volume3D:
 
 @dataclass
 class LabelMask:
-    """Class grid, shape (X, Y, Z), labels in {0, 1, 2}, stored as uint8."""
+    """Class grid, shape (X, Y, Z), labels indexing ``CLASS_NAMES``, stored as uint8."""
 
     labels: np.ndarray
     spacing: Spacing = field(default=(1.0, 1.0, 1.0))
@@ -75,9 +77,10 @@ class LabelMask:
         if labels.ndim != 3:
             raise ValueError(f"mask must be (X, Y, Z), got shape {labels.shape}")
         # before the uint8 cast (int16 258 would read as 2); the values are listed only on failure
-        if labels.size and (labels.max() > 2 or (labels.dtype.kind == "i" and labels.min() < 0)):
-            bad = np.unique(labels[(labels < 0) | (labels > 2)])
-            raise ValueError(f"mask values {bad.tolist()} outside {{0, 1, 2}}")
+        n = len(CLASS_NAMES)
+        if labels.size and (labels.max() >= n or (labels.dtype.kind == "i" and labels.min() < 0)):
+            bad = np.unique(labels[(labels < 0) | (labels >= n)])
+            raise ValueError(f"mask values {bad.tolist()} outside {set(range(n))}")
         self.labels = labels.astype(np.uint8, copy=False)
         self.spacing = _check_spacing(self.spacing)
 

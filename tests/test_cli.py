@@ -207,10 +207,11 @@ class TestConfigFile:
         path = write_config(tmp_path, ["seed = -1"])
         with pytest.raises(ValueError, match=r"^seed: expected a non-negative integer, got -1$"):
             build_run_config(path)
-        # the --seed flag of a config command goes through the same key, before any input is read
+        # infer refuses the file's seed, and augment-preview its --seed flag, which goes through
+        # the same key, before any input is read
         out, out_dir = tmp_path / "labels.nii.gz", tmp_path / "preview"
         missing = str(tmp_path / "missing.nii.gz")
-        for argv in (["infer", "--seed", "-1", "--weights", str(tmp_path / "missing.vskw"),
+        for argv in (["infer", "--config", path, "--weights", str(tmp_path / "missing.vskw"),
                       "--output", str(out), missing],
                      ["augment-preview", "--seed", "-1", "--volume", missing, "--mask", missing,
                       "--out-dir", str(out_dir)]):
@@ -403,6 +404,32 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "only_truth.nii" in err
         assert "only_pred.nii" in err
+
+    def test_cases_pair_by_file_name_without_its_nifti_suffix(self, tmp_path, capsys):
+        # a.nii pairs with a.nii.gz, and the CSV names the patient a
+        rng = np.random.default_rng(7)
+        truth_dir, masks = self.write_masks(tmp_path, rng, ["a.nii", "b.nii.gz"], "truth")
+        pred_dir, _ = self.write_masks(tmp_path, rng, ["c.nii.gz"], "pred")
+        write_nifti(masks["a.nii"], pred_dir / "a.nii.gz")
+        write_nifti(masks["b.nii.gz"], pred_dir / "b.nii")
+        csv_out = tmp_path / "report.csv"
+        assert main(["evaluate", str(truth_dir), str(pred_dir), "--csv", str(csv_out)]) == 0
+        assert capsys.readouterr().err == "warning: c.nii.gz has no matching ground truth file, skipped\n"
+        rows = list(csv.reader(csv_out.read_text().splitlines()))
+        assert [row[0] for row in rows[1:5]] == ["a", "b", "a", "b"]
+        assert rows[-1][:3] == ["AGG_MEAN", "", "1.000000"]
+
+    @pytest.mark.parametrize("side", ["truth", "pred"])
+    def test_two_files_of_one_patient_id_are_refused(self, tmp_path, capsys, side):
+        # case.nii beside case.nii.gz would score one case twice in the aggregated Dice
+        rng = np.random.default_rng(8)
+        dirs = {sub: self.write_masks(tmp_path, rng, ["case.nii.gz"], sub)[0] for sub in ("truth", "pred")}
+        write_nifti(LabelMask(np.zeros((6, 6, 6), np.uint8), (1, 1, 1)), dirs[side] / "case.nii")
+        csv_out = tmp_path / "report.csv"
+        assert main(["evaluate", str(dirs["truth"]), str(dirs["pred"]), "--csv", str(csv_out)]) == 2
+        assert capsys.readouterr().err == (f"error: read-input: {dirs[side] / 'case.nii'} and "
+                                           f"{dirs[side] / 'case.nii.gz'} both hold patient id 'case'\n")
+        assert not csv_out.exists()
 
     def test_empty_intersection_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -964,6 +991,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["infer"])  # missing required --output and inputs
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [["net-info"], ["infer", "--weights", "w.vskw", "--output", "o.nii", "in.nii"]],
+                             ids=["net-info", "infer"])
+    def test_seed_flag_only_where_it_seeds(self, capsys, argv):
+        # net-info and infer draw no random numbers; their config file may still set seed
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_unknown_command_exits_one(self):
         with pytest.raises(SystemExit) as exc:

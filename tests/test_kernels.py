@@ -303,17 +303,14 @@ class TestHaloBuffer:
             conv3d(x, np.zeros((1, 2, 3, 3, 3), np.float32), None, halo=halo)
 
     @pytest.mark.parametrize("dims,pad", [((3, 4, 5), (1, 1, 1)), ((2, 1, 3), (1, 0, 2)), ((1, 2, 1), (0, 1, 0))])
-    def test_six_faces_are_zero_and_interior_is_untouched(self, monkeypatch, dims, pad):
-        # memory from np.empty is filled with NaN here, so a face the
-        # helper does not zero keeps its NaN
-        monkeypatch.setattr(np, "empty", lambda shape, dtype: np.full(shape, np.nan, dtype))
+    def test_zeroed_buffer_and_its_interior_view(self, dims, pad):
         halo, interior = halo_buffer(3, dims, pad)
         assert halo.shape == (3, *(d + 2 * p for d, p in zip(dims, pad)))
         assert halo.transpose(1, 2, 3, 0).flags.c_contiguous and interior.shape == (3, *dims)
-        assert np.isnan(interior).all()
-        border = ~np.isnan(halo)
-        assert border.sum() == halo.size - interior.size
-        assert not halo[border].any()
+        assert not halo.any()
+        interior[...] = 1  # the view inside the border, and nothing else
+        inside = tuple(slice(p, p + d) for p, d in zip(pad, dims))
+        assert halo[(slice(None), *inside)].all() and halo.sum() == interior.size
 
 
 class TestCenterChannels:

@@ -21,6 +21,7 @@ from volseg.network import (
     save_weights,
     softmax_channels,
 )
+from volseg.volume import CLASS_NAMES
 
 from oracles import (
     naive_conv3d,
@@ -64,7 +65,7 @@ def analytic_tally(cfg: NetworkConfig) -> int:
         total += conv_p(1, 2 * w, w) + norm_p(w)  # channel-halving block
         for b in range(cfg.convs_per_stage):
             total += conv_p(k, 2 * w if b == 0 else w, w) + norm_p(w)
-    total += conv_p(1, cfg.base_width, cfg.num_classes)
+    total += conv_p(1, cfg.base_width, len(CLASS_NAMES))
     return total
 
 
@@ -215,6 +216,16 @@ class TestBuildAndCount:
         model = build_unet(NetworkConfig(in_channels=4), init_seed=0)
         assert model.layers[0].cin == 4
 
+    def test_output_width_is_the_label_set(self):
+        # one probability channel per label of volume.CLASS_NAMES; no config sets another count
+        classes = len(CLASS_NAMES)
+        for cfg in (NetworkConfig(), TOY):
+            conv, softmax = layer_plan(cfg)[-2:]
+            assert (conv.kind, conv.cout) == ("conv", classes)
+            assert (softmax.kind, softmax.cin, softmax.cout) == ("softmax", classes, classes)
+        with pytest.raises(TypeError):
+            NetworkConfig(num_classes=4)
+
     def test_skip_plan_covers_all_but_bottleneck(self):
         cfg = NetworkConfig()
         stack, pairs = [], []
@@ -339,9 +350,10 @@ class TestForward:
         pads = {i: lay.pad for i, lay in enumerate(model.layers) if lay.pad}
         assert len(calls) == len(pads) + (kernel_plan[0] == 3)
 
-    @staticmethod
-    def default_forward_peak():
-        """tracemalloc peak of one default-network forward at 64x64x32, and a stage-1 activation's bytes."""
+    @pytest.fixture(scope="class")
+    def default_forward_peak(self):
+        """tracemalloc peak of one default-network forward at 64x64x32, and a stage-1 activation's bytes;
+        measured once for both bounds below."""
         model = build_unet(NetworkConfig(), init_seed=0)
         x = np.random.default_rng(21).normal(size=(1, 64, 64, 32)).astype(np.float32)
         tracemalloc.start()
@@ -353,17 +365,17 @@ class TestForward:
             tracemalloc.stop()
         return peak, 4 * 32 * x[0].size
 
-    def test_forward_peak_memory_at_most_four_stage_one_activations(self):
+    def test_forward_peak_memory_at_most_four_stage_one_activations(self, default_forward_peak):
         # every 3x3x3 conv reads a halo its producer wrote, so no conv input
         # lives beside its own padded copy (5.6x when each conv padded its input)
-        peak, stage_one = self.default_forward_peak()
+        peak, stage_one = default_forward_peak
         assert peak <= 4 * stage_one, f"{peak / 1e6:.1f} MB = {peak / stage_one:.2f}x"
 
-    def test_forward_peak_memory_without_a_concat_halo(self):
+    def test_forward_peak_memory_without_a_concat_halo(self, default_forward_peak):
         # a 3x3x3 decoder conv reads its skip half and then its upsampled
         # half, one halo each, so no 64-channel concat halo is built: about
         # 2.45x, against 3.6x when the decoder's first stage-1 conv read one
-        peak, stage_one = self.default_forward_peak()
+        peak, stage_one = default_forward_peak
         assert peak <= 2.75 * stage_one, f"{peak / 1e6:.1f} MB = {peak / stage_one:.2f}x"
 
     def test_forward_is_deterministic(self):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import volseg.volume as volume
 from volseg.inference import SlidingWindowConfig, tile_offsets
-from volseg.volume import (LabelMask, Volume3D, _output_dims, resample_linear, resample_nearest, restore_resolution,
-                           same_grid)
+from volseg.volume import (CLASS_NAMES, LabelMask, Volume3D, _output_dims, resample_linear, resample_nearest,
+                           restore_resolution, same_grid)
 
 from oracles import resample_linear_pointwise, resample_nearest_pointwise
 
@@ -43,6 +44,13 @@ class TestVolumeTypes:
         labels = np.array([-1, 0, 1, 2, 3, 3, 7, -1]).reshape(2, 2, 2)
         with pytest.raises(ValueError, match=r"mask values \[-1, 3, 7\] outside \{0, 1, 2\}"):
             LabelMask(labels, (1, 1, 1))
+
+    def test_label_bound_follows_the_label_set(self, monkeypatch):
+        assert CLASS_NAMES == ("background", "GTVp", "GTVn")
+        monkeypatch.setattr(volume, "CLASS_NAMES", (*CLASS_NAMES, "extra"))
+        LabelMask(np.full((2, 2, 2), 3, np.uint8), (1, 1, 1))
+        with pytest.raises(ValueError, match=r"mask values \[4\] outside \{0, 1, 2, 3\}"):
+            LabelMask(np.full((2, 2, 2), 4, np.uint8), (1, 1, 1))
 
 
 def float32_spacing(*spacing):
